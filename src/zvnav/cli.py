@@ -45,7 +45,7 @@ from .gaitsim import (
     normal_profile,
     simulate,
 )
-from .ins import ProcessNoise, RunReport, run_pipeline
+from .ins import ProcessNoise, RunReport, run_lanes, run_pipeline
 from .threshold import ThresholdParams, calibrate
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, for g-unit file conversion only
@@ -132,6 +132,31 @@ def _resolve_unit(
     return flag if flag is not None else default
 
 
+def _read_rows(path: str) -> list[str]:
+    """Lines of a UTF-8 text file (a leading byte-order mark is dropped),
+    without the blank lines at its end. Blank lines elsewhere stay, so the
+    parser reports them as malformed rows."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
+
+
+def _parse_field(path: str, r: int, text: str) -> float:
+    """One finite number from data row r, or an error naming the row."""
+    text = text.strip()
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputFormatError(f"{path}: row {r}: not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"{path}: row {r}: non-finite value {text!r}")
+    return value
+
+
 def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
     """Parse one IMU CSV into a Recording, applying unit conversions.
 
@@ -140,11 +165,7 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
     reported at the first offending row.
     """
     fmt = fmt or CsvFormat()
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = _read_rows(path)
     if not lines:
         raise InputFormatError(f"{path}: empty file")
 
@@ -186,18 +207,7 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
                 f"{path}: row {r}: expected {len(_COLUMNS)} fields, "
                 f"got {len(parts)}"
             )
-        for j, part in enumerate(parts):
-            try:
-                value = float(part)
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: row {r}: not a number: {part.strip()!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise InputFormatError(
-                    f"{path}: row {r}: non-finite value {part.strip()!r}"
-                )
-            data[r - 1, j] = value
+        data[r - 1] = [_parse_field(path, r, part) for part in parts]
 
     t = data[:, 0]
     bad = np.flatnonzero(np.diff(t) <= 0)
@@ -218,12 +228,8 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
 
 
 def ingest_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``t,stationary`` sidecar; values must be 0 or 1."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    """Parse a ``t,stationary`` sidecar; times must be finite, values 0 or 1."""
+    lines = _read_rows(path)
     if not lines or [f.strip().lower() for f in lines[0].split(",")] != ["t", "stationary"]:
         raise InputFormatError(f"{path}: labels header must be t,stationary")
     times = np.empty(len(lines) - 1)
@@ -234,12 +240,7 @@ def ingest_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
             raise InputFormatError(
                 f"{path}: row {r}: expected 2 fields, got {len(parts)}"
             )
-        try:
-            times[r - 1] = float(parts[0])
-        except ValueError:
-            raise InputFormatError(
-                f"{path}: row {r}: not a number: {parts[0].strip()!r}"
-            ) from None
+        times[r - 1] = _parse_field(path, r, parts[0])
         label = parts[1].strip()
         if label not in ("0", "1"):
             raise InputFormatError(
@@ -256,7 +257,7 @@ def attach_labels(rec: Recording, times: np.ndarray, flags: np.ndarray) -> Recor
             f"labels carry {len(times)} rows but recording {rec.id} has "
             f"{len(rec)} samples"
         )
-    mismatch = np.flatnonzero(np.abs(times - rec.t) > 5e-7)
+    mismatch = np.flatnonzero(~(np.abs(times - rec.t) <= 5e-7))  # NaN mismatches
     if mismatch.size:
         i = int(mismatch[0])
         raise InputFormatError(
@@ -510,21 +511,15 @@ def cmd_sweep(
         else:
             included.append(rec)
 
-    errors: dict[tuple[str, float], dict[str, float]] = {}
-    for mode, c1, params in configs:
-        per_rec: dict[str, float] = {}
-        for rec in recordings:
-            report = run_pipeline(
-                rec,
-                cfg["detector"],
-                params,
-                noise,
-                pn,
-                window_samples=window,
-                recording_id=rec.id,
-            )
-            per_rec[rec.id] = report.loop_closure_error_m
-        errors[(mode, c1)] = per_rec
+    # one lane per config, stepped together over each recording
+    lanes = [params for _, _, params in configs]
+    errors: dict[str, list[float]] = {}
+    for rec in recordings:
+        reports = run_lanes(
+            rec, cfg["detector"], lanes, noise, pn,
+            window_samples=window, recording_id=rec.id,
+        )
+        errors[rec.id] = [report.loop_closure_error_m for report in reports]
 
     tags = sorted({rec.gait_tag for rec in included if rec.gait_tag is not None})
     subsets: list[tuple[str, list[Recording]]] = [
@@ -534,14 +529,13 @@ def cmd_sweep(
 
     rows = []
     for subset, members in subsets:
-        for mode, c1, _ in configs:
-            per_rec = errors[(mode, c1)]
+        for lane, (mode, c1, _) in enumerate(configs):
             rows.append(
                 {
                     "threshold_mode": mode,
                     "c1": c1,
                     "subset": subset,
-                    "rmse_m": _rmse([per_rec[r.id] for r in members]),
+                    "rmse_m": _rmse([errors[r.id][lane] for r in members]),
                     "n_recordings": len(members),
                 }
             )
@@ -883,11 +877,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
             sys.stdout.write(f"wrote {args.out}.csv: {len(rec)} samples{length}\n")
         elif args.command == "concat":
-            recs = [_load_recording(p, explicit) for p in args.recordings]
-            report = cmd_concat(recs, cfg)
+            merged = concat_recordings(
+                [_load_recording(p, explicit) for p in args.recordings]
+            )
+            report = cmd_run(merged, cfg)
             _emit(format_report(report), args.report)
             if args.trace:
-                merged = concat_recordings(recs)
                 _emit(format_trace(report, merged.t), args.trace)
     except InputFormatError as exc:
         print(f"zvnav: input error: {exc}", file=sys.stderr)

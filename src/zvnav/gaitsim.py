@@ -31,10 +31,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ImuSample, ImuWindow, NoiseModel, Recording
+from .core import ImuSample, ImuWindow, NoiseModel, Recording, stream_to_arrays
 from .errors import CalibrationDataError, ConfigError
-from .ins import ProcessNoise, _propagate_arrays, _xi_arrays, _zupt_arrays
-from .ins import XI_COND_BOUND, default_initial_covariance
+from .ins import NavState, ProcessNoise, _filter_lanes, default_initial_covariance
+from .quat import quat_conj, quat_mul, rotmat_from_quat
 
 PHASE_STANDSTILL = 0
 PHASE_STANCE = 1
@@ -234,36 +234,16 @@ def _ideal_imu(v, psi, theta, dts, gravity_mag):
     strapdown integrator in `ins`, on the true velocity and attitude grids.
     Returns noise-free body-frame specific force and angular rate."""
     n = len(psi)
-    qw, qx, qy, qz = _yaw_pitch_quats(psi, theta)
+    q = np.column_stack(_yaw_pitch_quats(psi, theta))
     acc_nav = (v[1:] - v[:-1]) / dts[:, None]
     acc_nav[:, 2] += gravity_mag  # remove g_vec = (0, 0, -g)
-    xx, yy, zz = qx * qx, qy * qy, qz * qz
-    wx, wy, wz = qw * qx, qw * qy, qw * qz
-    xy, xz, yz = qx * qy, qx * qz, qy * qz
-    R = np.empty((n, 3, 3))
-    R[:, 0, 0] = 1.0 - 2.0 * (yy + zz)
-    R[:, 0, 1] = 2.0 * (xy - wz)
-    R[:, 0, 2] = 2.0 * (xz + wy)
-    R[:, 1, 0] = 2.0 * (xy + wz)
-    R[:, 1, 1] = 1.0 - 2.0 * (xx + zz)
-    R[:, 1, 2] = 2.0 * (yz - wx)
-    R[:, 2, 0] = 2.0 * (xz - wy)
-    R[:, 2, 1] = 2.0 * (yz + wx)
-    R[:, 2, 2] = 1.0 - 2.0 * (xx + yy)
+    R = rotmat_from_quat(q)
     accel = np.empty((n, 3))
     accel[:-1] = np.einsum("kji,kj->ki", R[:-1], acc_nav)  # R^T @ acc_nav
     accel[-1] = accel[-2]  # the last sample drives no integration step
     # body rate from relative quaternions conj(q_k) * q_{k+1}
-    w1, x1, y1, z1 = qw[:-1], -qx[:-1], -qy[:-1], -qz[:-1]
-    w2, x2, y2, z2 = qw[1:], qx[1:], qy[1:], qz[1:]
-    dw = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    vec = np.column_stack(
-        [
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
-    )
+    rel = quat_mul(quat_conj(q[:-1]), q[1:])
+    dw, vec = rel[:, 0], rel[:, 1:]
     flip = dw < 0.0
     dw = np.where(flip, -dw, dw)
     vec[flip] *= -1.0
@@ -436,35 +416,17 @@ def _reference_xi_median(rec, noise: NoiseModel, pn: ProcessNoise, swing_mask) -
     """Median speed evidence over swing from a label-driven filter pass.
 
     Ground-truth labels stand in for the detector, so the estimate does
-    not depend on any threshold choice.
+    not depend on any threshold choice. The pass starts at rest with the
+    identity attitude and takes its first decision at sample 1.
     """
-    t = np.asarray(rec.t, dtype=float)
-    accel = np.asarray(rec.accel, dtype=float)
-    gyro = np.asarray(rec.gyro, dtype=float)
-    labels = np.asarray(rec.stationary, dtype=bool)
-    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    qa_var = pn.accel_psd**2
-    qg_var = pn.gyro_psd**2
-    r_var = noise.sigma_zupt**2
-    p = np.zeros(3)
-    v = np.zeros(3)
-    q = np.array([1.0, 0.0, 0.0, 0.0])
-    P = default_initial_covariance().P.copy()
-    xis = []
-    for k in range(1, len(t)):
-        dt = t[k] - t[k - 1]
-        p, v, q, P = _propagate_arrays(
-            p, v, q, P, accel[k - 1], gyro[k - 1], dt, g_vec, qa_var, qg_var
-        )
-        if swing_mask[k]:
-            ev = _xi_arrays(P, v, XI_COND_BOUND)
-            if ev is not None:
-                xis.append(ev)
-        if labels[k]:
-            p, v, q, P = _zupt_arrays(p, v, q, P, r_var)
-    if not xis:
+    t, accel, gyro = stream_to_arrays(rec)
+    out = _filter_lanes(
+        t, accel, gyro, NavState.identity(), default_initial_covariance(), noise, pn, 1,
+        zupts=rec.stationary, xi_mask=swing_mask,
+    )
+    if not out.xi:
         raise CalibrationDataError("no usable swing samples for the speed evidence")
-    return float(np.median(xis))
+    return float(np.median(out.xi))
 
 
 def extract_calibration_sets(

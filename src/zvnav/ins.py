@@ -9,30 +9,26 @@ Navigation frame: z up, gravity g_vec = (0, 0, -gravity_mag). The
 accelerometer measures specific force in the body frame,
 a_meas = R^T (a_true - g_vec), so at rest R @ a_meas + g_vec = 0.
 
-run_pipeline drives the whole loop: propagate on every sample interval,
-score the causal detector window ending at the current sample, compare
-against the adaptive threshold, and apply a zero-velocity update when
-the statistic crosses it.
+One loop drives the filter: propagate on every sample interval, score
+the causal detector window ending at the current sample, compare against
+the adaptive threshold, and apply a zero-velocity update when the
+statistic crosses it. It steps B lanes at once, one lane being one
+(recording, threshold config) pair; run_pipeline is its one-lane case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import NoiseModel, stream_to_arrays, validate_stream
 from .detectors import get_detector
 from .errors import NumericalError, StreamFormatError
-from .quat import (
-    quat_between,
-    quat_from_rotvec,
-    quat_mul,
-    quat_normalize,
-    rotmat_from_quat,
-    skew,
-)
+from .quat import quat_between, quat_conj, quat_from_rotvec, quat_mul, quat_normalize
+from .quat import skew
 from .threshold import ThresholdParams
 
 _QUAT_NORM_TOL = 1e-6
@@ -89,10 +85,6 @@ class NavCovariance:
             raise ValueError(f"covariance asymmetry {asym} exceeds tolerance")
         object.__setattr__(self, "P", P)
 
-    @property
-    def velocity_block(self) -> np.ndarray:
-        return self.P[3:6, 3:6]
-
 
 @dataclass(frozen=True)
 class ProcessNoise:
@@ -136,30 +128,71 @@ def align_from_standstill(stream, noise: NoiseModel, duration_s: float = 1.0) ->
     return NavState(np.zeros(3), np.zeros(3), q)
 
 
-def _propagate_arrays(p, v, q, P, accel, gyro, dt, g_vec, qa_var, qg_var):
-    """One mechanization + covariance step on raw arrays (hot path)."""
-    R = rotmat_from_quat(q)
-    f_nav = R @ accel
-    v_new = v + (f_nav + g_vec) * dt
-    p_new = p + v_new * dt
-    q_new = quat_normalize(quat_mul(q, quat_from_rotvec(gyro * dt)))
-    F = np.eye(9)
-    F[0, 3] = F[1, 4] = F[2, 5] = dt
-    F[3:6, 6:9] = skew(f_nav) * (-dt)
-    P_new = F @ P @ F.T
-    P_new[[3, 4, 5], [3, 4, 5]] += qa_var * dt
-    P_new[[6, 7, 8], [6, 7, 8]] += qg_var * dt
-    return p_new, v_new, q_new, P_new
+# Constant operators of the step, built from quat_mul and skew so each
+# formula exists once (e_a are the basis quaternions):
+# - q * b = q @ (_QMUL @ b) and a * q = (a @ _QMUL.reshape(4, 16)).reshape(4, 4) @ q;
+# - R(q) = sum_ab q_a q_b _ROT[4a + b], from R(q) v = vec(q * (0, v) * q^-1),
+#   diagonal in the homogeneous form w^2 + x^2 - y^2 - z^2 (|q| = 1);
+# - F = I + dt * (_F_DT + f_nav @ _F_SKEW): dt I in the (dp, dv) block and
+#   -dt skew(f_nav) in the (dv, dpsi) block.
+_E4 = np.eye(4)
+_QMUL = np.array([[quat_mul(a, b) for b in _E4] for a in _E4]).transpose(0, 2, 1)
+_ROT = np.array([[[quat_mul(quat_mul(a, e), quat_conj(b))[1:] for e in _E4[1:]]
+                  for b in _E4] for a in _E4]).transpose(0, 1, 3, 2).reshape(16, 3, 3)
+_F_DT = np.zeros((9, 9))
+_F_DT[0:3, 3:6] = np.eye(3)
+_F_SKEW = np.zeros((3, 9, 9))
+_F_SKEW[:, 3:6, 6:9] = [-skew(e) for e in np.eye(3)]
+_F_SKEW = _F_SKEW.reshape(3, 81)
+_EYE3, _EYE9 = np.eye(3), np.eye(9)
+_H = _EYE9[3:6]  # the update measures velocity
 
 
-def propagate(
-    state: NavState,
-    cov: NavCovariance,
-    sample,
-    dt: float,
-    noise: NoiseModel,
-    pn: ProcessNoise,
-) -> tuple[NavState, NavCovariance]:
+def _unit(q):
+    return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+
+
+def _process_rate(pn: ProcessNoise) -> np.ndarray:
+    """Covariance growth per second of [dp, dv, dpsi] (diagonal)."""
+    return np.diag(np.repeat([0.0, pn.accel_psd**2, pn.gyro_psd**2], 3))
+
+
+def _propagate(p, v, q, P, accel, dq, dt, g_vec, q_rate):
+    """One mechanization and covariance step for B lanes: p, v (B, 3),
+    q (B, 4), P (B, 9, 9). The specific force (3,) and the gyro increment
+    dq = exp(gyro * dt) (4,) are shared by the lanes. Returns new arrays."""
+    qq = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)
+    f_nav = qq @ (_ROT @ accel)
+    v = v + (f_nav + g_vec) * dt
+    p = p + v * dt
+    q = _unit(q @ (_QMUL @ dq))
+    F = _EYE9 + dt * (_F_DT + (f_nav @ _F_SKEW).reshape(-1, 9, 9))
+    P = F @ P @ F.transpose(0, 2, 1) + dt * q_rate
+    return p, v, q, 0.5 * (P + P.transpose(0, 2, 1))
+
+
+def _zupt(p, v, q, P, r_var):
+    """Zero-velocity update for B lanes (see zupt_update)."""
+    S = P[:, 3:6, 3:6] + r_var * _EYE3
+    try:
+        Kt = np.linalg.solve(S, P[:, :, 3:6].transpose(0, 2, 1))  # (P H^T S^-1)^T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(
+            f"innovation covariance not invertible: {S.tolist()}"
+        ) from exc
+    if not np.isfinite(Kt).all():
+        raise NumericalError(f"innovation covariance ill-formed: {S.tolist()}")
+    K = Kt.transpose(0, 2, 1)
+    dx = (-v[:, None, :] @ Kt)[:, 0]
+    left = (quat_from_rotvec(dx[:, 6:9]) @ _QMUL.reshape(4, 16)).reshape(-1, 4, 4)
+    q = _unit((left @ q[:, :, None])[:, :, 0])
+    IKH = _EYE9 - K @ _H
+    P = IKH @ P @ IKH.transpose(0, 2, 1) + r_var * (K @ Kt)
+    return p + dx[:, 0:3], v + dx[:, 3:6], q, 0.5 * (P + P.transpose(0, 2, 1))
+
+
+def propagate(state: NavState, cov: NavCovariance, sample, dt: float, noise: NoiseModel,
+              pn: ProcessNoise) -> tuple[NavState, NavCovariance]:
     """Integrate one IMU sample over dt and grow the covariance.
 
     Velocity uses the pre-step attitude; position uses the post-step
@@ -168,49 +201,18 @@ def propagate(
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    p, v, q, P = _propagate_arrays(
-        state.p,
-        state.v,
-        state.q,
-        cov.P,
-        np.asarray(sample.accel, dtype=float),
-        np.asarray(sample.gyro, dtype=float),
-        float(dt),
-        g_vec,
-        pn.accel_psd**2,
-        pn.gyro_psd**2,
+    dt = float(dt)
+    gyro = np.asarray(sample.gyro, dtype=float)
+    p, v, q, P = _propagate(
+        state.p[None], state.v[None], state.q[None], cov.P[None],
+        np.asarray(sample.accel, dtype=float), quat_from_rotvec(gyro * dt), dt,
+        np.array([0.0, 0.0, -noise.gravity_mag]), _process_rate(pn),
     )
-    return NavState(p, v, q), NavCovariance(0.5 * (P + P.T))
+    return NavState(p[0], v[0], q[0]), NavCovariance(P[0])
 
 
-def _zupt_arrays(p, v, q, P, r_var):
-    """Zero-velocity measurement update on raw arrays (hot path)."""
-    S = P[3:6, 3:6].copy()
-    S[[0, 1, 2], [0, 1, 2]] += r_var
-    PHt = P[:, 3:6]
-    try:
-        K = np.linalg.solve(S, PHt.T).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"innovation covariance not invertible: {S.tolist()}"
-        ) from exc
-    if not np.isfinite(K).all():
-        raise NumericalError(f"innovation covariance ill-formed: {S.tolist()}")
-    dx = K @ (-v)
-    p_new = p + dx[0:3]
-    v_new = v + dx[3:6]
-    q_new = quat_normalize(quat_mul(quat_from_rotvec(dx[6:9]), q))
-    IKH = np.eye(9)
-    IKH[:, 3:6] -= K
-    P_new = IKH @ P @ IKH.T + r_var * (K @ K.T)
-    P_new = 0.5 * (P_new + P_new.T)
-    return p_new, v_new, q_new, P_new
-
-
-def zupt_update(
-    state: NavState, cov: NavCovariance, noise: NoiseModel
-) -> tuple[NavState, NavCovariance]:
+def zupt_update(state: NavState, cov: NavCovariance,
+                noise: NoiseModel) -> tuple[NavState, NavCovariance]:
     """Apply the pseudo-measurement "velocity is zero" (noise sigma_zupt).
 
     Measurement z = 0 - v_hat with H = [0 I 0]; the estimated error is
@@ -218,25 +220,24 @@ def zupt_update(
     small-angle quaternion) and the covariance follows the Joseph form,
     then is symmetrized.
     """
-    p, v, q, P = _zupt_arrays(
-        state.p, state.v, state.q, cov.P, noise.sigma_zupt**2
+    p, v, q, P = _zupt(
+        state.p[None], state.v[None], state.q[None], cov.P[None], noise.sigma_zupt**2
     )
-    return NavState(p, v, q), NavCovariance(P)
+    return NavState(p[0], v[0], q[0]), NavCovariance(P[0])
 
 
-def _xi_arrays(P, v, cond_bound):
+def _xi(S, v, cond_bound):
     """Speed evidence xi = v^T S^-1 v with S the velocity covariance block.
 
-    Returns None when S is singular or its 1-norm condition estimate
-    exceeds cond_bound; callers then drop the speed term (uninformative
-    prior fallback). Closed-form 3x3 inverse keeps this cheap per sample.
+    ``S`` is the 3x3 block as nested lists and ``v`` a list of 3 floats:
+    plain floats keep this cheap per sample. Returns None when S is
+    singular or its 1-norm condition estimate exceeds cond_bound; callers
+    then drop the speed term (uninformative prior fallback).
     """
-    a = P[3, 3]
-    d = P[4, 4]
-    f = P[5, 5]
-    b = 0.5 * (P[3, 4] + P[4, 3])
-    c = 0.5 * (P[3, 5] + P[5, 3])
-    e = 0.5 * (P[4, 5] + P[5, 4])
+    (a, s01, s02), (s10, d, s12), (s20, s21, f) = S
+    b = 0.5 * (s01 + s10)
+    c = 0.5 * (s02 + s20)
+    e = 0.5 * (s12 + s21)
     A = d * f - e * e
     B = c * e - b * f
     C = b * e - c * d
@@ -261,7 +262,7 @@ def _xi_arrays(P, v, cond_bound):
     )
     if norm_s * norm_inv > cond_bound:
         return None
-    v0, v1, v2 = float(v[0]), float(v[1]), float(v[2])
+    v0, v1, v2 = v
     x0 = inv[0][0] * v0 + inv[0][1] * v1 + inv[0][2] * v2
     x1 = inv[1][0] * v0 + inv[1][1] * v1 + inv[1][2] * v2
     x2 = inv[2][0] * v0 + inv[2][1] * v1 + inv[2][2] * v2
@@ -273,7 +274,83 @@ def _xi_arrays(P, v, cond_bound):
 
 def xi(state: NavState, cov: NavCovariance, cond_bound: float = XI_COND_BOUND):
     """Public form of the speed evidence; None signals the fallback."""
-    return _xi_arrays(cov.P, state.v, cond_bound)
+    return _xi(cov.P[3:6, 3:6].tolist(), state.v.tolist(), cond_bound)
+
+
+class _LaneTraces(NamedTuple):
+    trajectory: np.ndarray  # (n, B, 3)
+    decisions: np.ndarray  # (n, B), True where the lane applied an update
+    log_gamma: np.ndarray  # (n, B), NaN where no threshold was formed
+    xi: list  # the one lane's speed evidence on the xi_mask samples
+    q: np.ndarray  # (B, 4) final attitude
+    P: np.ndarray  # (B, 9, 9) final covariance
+
+
+def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
+                  lanes=(), logl=None, zupts=None, xi_mask=None) -> _LaneTraces:
+    """The filter loop: B lanes stepped together over one recording.
+
+    The lanes share the samples and (state0, cov0); each has its own state,
+    covariance and ThresholdParams. From sample first_window on, a lane
+    applies a zero-velocity update where logl[k] exceeds its threshold
+    c1 + c2 * (t_k - t_last) + c3 * xi, t_last being its last update (t_0
+    before the first). xi comes from the covariance before the update it
+    gates, only where c3 != 0; a None xi drops the c3 term. With supplied
+    ``zupts`` (n,) in place of lanes and logl, one lane applies an update
+    where zupts[k] is set and records xi on the samples in xi_mask.
+    """
+    n = len(t)
+    dts = np.diff(t)
+    dqs = quat_from_rotvec(gyro[:-1] * dts[:, None])  # gyro increments, once
+    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
+    q_rate = _process_rate(pn)
+    r_var = noise.sigma_zupt**2
+    B = len(lanes)
+    if zupts is not None:
+        zupts, B = np.asarray(zupts, dtype=bool).reshape(n, 1), 1
+    c1 = np.array([lane.c1 for lane in lanes])
+    c2 = np.array([lane.c2 for lane in lanes])
+    xi_lanes = [(i, lane.c3) for i, lane in enumerate(lanes) if lane.c3 != 0.0]
+    p, v, q = (np.tile(x, (B, 1)) for x in (state0.p, state0.v, state0.q))
+    P = np.tile(cov0.P, (B, 1, 1))
+    trajectory = np.empty((n, B, 3))
+    decisions = np.zeros((n, B), dtype=bool)
+    log_gamma = np.full((n, B), np.nan)
+    t_last = np.full(B, t[0])
+    xis = []
+    for k in range(n):
+        if k:
+            p, v, q, P = _propagate(
+                p, v, q, P, accel[k - 1], dqs[k - 1], dts[k - 1], g_vec, q_rate
+            )
+        if k >= first_window:
+            if zupts is None:
+                lg = c1 + c2 * (t[k] - t_last)
+                for i, c3 in xi_lanes:
+                    ev = _xi(P[i, 3:6, 3:6].tolist(), v[i].tolist(), XI_COND_BOUND)
+                    if ev is not None:
+                        lg[i] += c3 * ev
+                log_gamma[k] = lg
+                fire = logl[k] > lg  # NaN never passes
+            else:
+                if xi_mask[k]:
+                    ev = _xi(P[0, 3:6, 3:6].tolist(), v[0].tolist(), XI_COND_BOUND)
+                    if ev is not None:
+                        xis.append(ev)
+                fire = zupts[k]
+            fired = np.count_nonzero(fire)
+            if fired:
+                if fired == B:  # no gather when every lane fires
+                    p, v, q, P = _zupt(p, v, q, P, r_var)
+                else:
+                    i = np.flatnonzero(fire)
+                    p[i], v[i], q[i], P[i] = _zupt(p[i], v[i], q[i], P[i], r_var)
+                decisions[k] = fire
+                t_last[fire] = t[k]
+        trajectory[k] = p
+    if not (np.isfinite(trajectory).all() and np.isfinite(P).all()):
+        raise NumericalError("filter state became non-finite")
+    return _LaneTraces(trajectory, decisions, log_gamma, xis, q, P)
 
 
 @dataclass(frozen=True)
@@ -298,31 +375,22 @@ class RunReport:
         return int(self.decisions.sum())
 
 
-def run_pipeline(
-    stream,
-    detector,
-    threshold_params: ThresholdParams,
-    noise: NoiseModel,
-    pn: ProcessNoise | None = None,
-    init=None,
-    *,
-    window_samples: int = 5,
-    recording_id: str = "",
-    xi_cond_bound: float = XI_COND_BOUND,
-    validate: bool = True,
-) -> RunReport:
-    """Run detector + filter over one stream and report traces and drift.
+def run_lanes(
+    stream, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
+    init=None, *, window_samples: int = 5, recording_id: str = "",
+) -> list[RunReport]:
+    """Run detector + filter over one stream once per ThresholdParams in
+    ``lanes``, stepping the lanes together; one report per lane, in order.
 
-    ``init`` may be None (level from the first second of data, default
-    covariance), a NavState (default covariance), or a (NavState,
-    NavCovariance) pair. The speed evidence is computed from the
-    covariance before the update it gates, and only when c3 != 0.
+    Validation, the detector trace, the process noise and the initial state
+    are computed once for all lanes. ``init`` may be None (level from the
+    first second of data, default covariance), a NavState (default
+    covariance), or a (NavState, NavCovariance) pair.
     """
     t, accel, gyro = stream_to_arrays(stream)
     if len(t) < 2:
         raise StreamFormatError("pipeline needs at least 2 samples")
-    if validate:
-        validate_stream((t, accel, gyro)).raise_if_bad()
+    validate_stream((t, accel, gyro)).raise_if_bad()
     spec = get_detector(detector)
     logl = spec.trace(accel, gyro, window_samples, noise)
 
@@ -337,73 +405,38 @@ def run_pipeline(
     else:
         state0, cov0 = init
 
-    p = state0.p.copy()
-    v = state0.v.copy()
-    q = state0.q.copy()
-    P = cov0.P.copy()
-    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    qa_var = pn.accel_psd**2
-    qg_var = pn.gyro_psd**2
-    c1, c2, c3 = threshold_params.c1, threshold_params.c2, threshold_params.c3
-    use_xi = c3 != 0.0
-    r_var = noise.sigma_zupt**2
-
-    n = len(t)
-    trajectory = np.empty((n, 3))
-    decisions = np.zeros(n, dtype=bool)
-    log_gamma = np.full(n, np.nan)
-    last_zupt = t[0]
-    first_window = window_samples - 1
-
-    def threshold_at(dtz):
-        if use_xi:
-            ev = _xi_arrays(P, v, xi_cond_bound)
-            if ev is not None:
-                return c1 + c2 * dtz + c3 * ev
-        return c1 + c2 * dtz
-
-    if first_window == 0:
-        lg = threshold_at(0.0)
-        log_gamma[0] = lg
-        if logl[0] > lg:
-            p, v, q, P = _zupt_arrays(p, v, q, P, r_var)
-            decisions[0] = True
-    trajectory[0] = p
-
-    for k in range(1, n):
-        dt = t[k] - t[k - 1]
-        p, v, q, P = _propagate_arrays(
-            p, v, q, P, accel[k - 1], gyro[k - 1], dt, g_vec, qa_var, qg_var
-        )
-        if k >= first_window:
-            lg = threshold_at(t[k] - last_zupt)
-            log_gamma[k] = lg
-            if logl[k] > lg:  # NaN never passes
-                p, v, q, P = _zupt_arrays(p, v, q, P, r_var)
-                decisions[k] = True
-                last_zupt = t[k]
-        trajectory[k] = p
-
-    params_used = {
+    out = _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, window_samples - 1,
+                        lanes=lanes, logl=logl)
+    shared = {
         "detector": spec.name,
         "window_samples": window_samples,
-        "c1": c1,
-        "c2": c2,
-        "c3": c3,
         "sigma_a": noise.sigma_a,
         "sigma_w": noise.sigma_w,
         "gravity_mag": noise.gravity_mag,
         "sigma_zupt": noise.sigma_zupt,
         "accel_psd": pn.accel_psd,
         "gyro_psd": pn.gyro_psd,
-        "xi_cond_bound": xi_cond_bound,
+        "xi_cond_bound": XI_COND_BOUND,
     }
-    return RunReport(
-        recording_id=recording_id,
-        trajectory=trajectory,
-        decisions=decisions,
-        logl_trace=logl,
-        log_gamma_trace=log_gamma,
-        loop_closure_error_m=float(np.linalg.norm(trajectory[-1] - trajectory[0])),
-        params_used=params_used,
-    )
+    reports = []
+    for b, lane in enumerate(lanes):
+        trajectory = out.trajectory[:, b]
+        reports.append(RunReport(
+            recording_id=recording_id,
+            trajectory=trajectory,
+            decisions=out.decisions[:, b],
+            logl_trace=logl,
+            log_gamma_trace=out.log_gamma[:, b],
+            loop_closure_error_m=float(np.linalg.norm(trajectory[-1] - trajectory[0])),
+            params_used={**shared, "c1": lane.c1, "c2": lane.c2, "c3": lane.c3},
+        ))
+    return reports
+
+
+def run_pipeline(stream, detector, threshold_params: ThresholdParams, noise: NoiseModel,
+                 pn: ProcessNoise | None = None, init=None, **kwargs) -> RunReport:
+    """Run detector + filter over one stream and report traces and drift:
+    run_lanes with the one lane ``threshold_params`` (same keywords)."""
+    (report,) = run_lanes(stream, detector, [threshold_params], noise, pn, init,
+                          **kwargs)
+    return report

@@ -11,25 +11,27 @@ import math
 
 import numpy as np
 
-# Below this angle the exact exponential/log switch to series forms.
+# Below this angle the log map switches to its series form.
 _SMALL_ANGLE = 1e-8
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton product of quaternions (4,) or of stacks of them (n, 4)."""
+    aw, ax, ay, az = np.asarray(a).T
+    bw, bx, by, bz = np.asarray(b).T
+    return np.stack(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
             aw * by - ax * bz + ay * bw + az * bx,
             aw * bz + ax * by - ay * bx + az * bw,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return np.asarray(q) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -40,16 +42,19 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
-    """Exact exponential map: rotation vector (axis * angle) to quaternion."""
-    angle = math.sqrt(float(phi[0] ** 2 + phi[1] ** 2 + phi[2] ** 2))
-    if angle < _SMALL_ANGLE:
-        # sin(x/2)/x = 1/2 - x^2/48 + O(x^4)
-        k = 0.5 - angle * angle / 48.0
-    else:
-        k = math.sin(0.5 * angle) / angle
-    return np.array(
-        [math.cos(0.5 * angle), k * phi[0], k * phi[1], k * phi[2]]
-    )
+    """Exact exponential map: rotation vector (axis * angle) to quaternion.
+
+    ``phi`` is one vector of shape (3,) or a stack of shape (..., 3); the
+    result has shape (4,) or (..., 4).
+    """
+    phi = np.asarray(phi, dtype=float)
+    angle = np.hypot(np.hypot(phi[..., 0], phi[..., 1]), phi[..., 2])
+    half = 0.5 * angle
+    # k = sin(x/2)/x. Below _SMALL_ANGLE it rounds to the series value
+    # 1/2 - x^2/48 = 1/2; at x = 0, phi is zero and any finite k will do,
+    # so the divisor becomes 1 there instead of forming 0/0.
+    k = np.sin(half) / (angle + (angle == 0.0))
+    return np.concatenate((np.cos(half)[..., None], k[..., None] * phi), axis=-1)
 
 
 def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
@@ -68,18 +73,18 @@ def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
 
 
 def rotmat_from_quat(q: np.ndarray) -> np.ndarray:
-    """Direction cosine matrix R(q), body to navigation."""
-    w, x, y, z = q
+    """Direction cosine matrix R(q), body to navigation: (3, 3) for one
+    quaternion (4,), (n, 3, 3) for a stack (n, 4)."""
+    w, x, y, z = np.asarray(q).T
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    return np.array(
-        [
-            [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
-            [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
-            [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
-        ]
-    )
+    rows = [
+        [1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)],
+        [2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)],
+        [2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def quat_between(v_from: np.ndarray, v_to: np.ndarray) -> np.ndarray:

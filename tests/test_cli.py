@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zvnav.cli import (
     CsvFormat,
@@ -179,6 +181,53 @@ class TestCsvIngest:
         assert len(rec) == 1
 
 
+    def test_byte_order_mark_header_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufefft,ax,ay,az,gx,gy,gz\n0.0,0,0,9.81,0,0,0\n", encoding="utf-8")
+        assert len(ingest_csv(str(path))) == 1
+
+    def test_trailing_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "tail.csv"
+        path.write_text(
+            "t,ax,ay,az,gx,gy,gz\n0.0,0,0,9.81,0,0,0\n0.004,0,0,9.81,0,0,0\n\n \n\n"
+        )
+        assert len(ingest_csv(str(path))) == 2
+
+    def test_interior_blank_row_names_row(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text(
+            "t,ax,ay,az,gx,gy,gz\n0.0,0,0,9.81,0,0,0\n\n0.008,0,0,9.81,0,0,0\n"
+        )
+        with pytest.raises(InputFormatError, match="row 2: expected 7 fields, got 1"):
+            ingest_csv(str(path))
+
+
+_CSV_HEADERS = ("t,ax,ay,az,gx,gy,gz\n", "t,stationary\n", "\ufefft,stationary\n")
+_ARBITRARY_TEXT = st.one_of(
+    st.text(),
+    st.tuples(
+        st.sampled_from(_CSV_HEADERS),
+        st.text(alphabet="0123456789.,-+eEnaif \t\r\n\ufeff"),
+    ).map("".join),
+)
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("arbitrary") / "input.csv"
+
+
+@pytest.mark.parametrize("parse", [ingest_csv, ingest_labels])
+@given(text=_ARBITRARY_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_arbitrary_text_parses_or_raises_input_error(parse, input_file, text):
+    input_file.write_text(text, encoding="utf-8")
+    try:
+        parse(str(input_file))
+    except InputFormatError:
+        pass
+
+
 class TestLabels:
     def test_labels_round_trip(self, walk_rec, tmp_path):
         csv = tmp_path / "w.csv"
@@ -209,6 +258,18 @@ class TestLabels:
         path.write_text("t,stationary\n0.0,1\n0.004,2\n")
         with pytest.raises(InputFormatError, match="row 2.*0 or 1"):
             ingest_labels(str(path))
+
+    def test_nonfinite_time_names_row(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text("\ufefft,stationary\n0.0,1\nnan,0\n\n")
+        with pytest.raises(InputFormatError, match="row 2: non-finite value 'nan'"):
+            ingest_labels(str(path))
+
+    def test_nan_time_is_a_mismatch(self, walk_rec):
+        times = walk_rec.t.copy()
+        times[7] = np.nan
+        with pytest.raises(InputFormatError, match="labels row 8"):
+            attach_labels(walk_rec, times, walk_rec.stationary)
 
 
 class TestConfig:
@@ -505,6 +566,23 @@ class TestMainEntry:
         assert lines[0] == "threshold_mode\tc1\tsubset\trmse_m\tn_recordings"
         assert len(lines) == 1 + 2 * 3  # subsets normal + all, grid 2 + adaptive
         assert any("\tnormal\t" in line for line in lines[1:])
+
+    def test_nan_label_time_exits_2(self, walk_files, capsys):
+        csv, labels = walk_files
+        lines = labels.read_text().splitlines()
+        lines[5] = "nan,0"
+        labels.write_text("\n".join(lines) + "\n")
+        assert main(["run", str(csv), "--labels", str(labels)]) == 2
+        assert "row 5: non-finite value" in capsys.readouterr().err
+
+    def test_concat_trace_covers_joined_time_base(self, walk_rec, walk_files, tmp_path,
+                                                   capsys):
+        csv, _ = walk_files
+        trace = tmp_path / "joined.tsv"
+        assert main(["concat", str(csv), str(csv), "--trace", str(trace)]) == 0
+        t = np.loadtxt(trace, delimiter="\t", skiprows=1, ndmin=2)[:, 0]
+        assert len(t) == 2 * len(walk_rec)
+        assert (np.diff(t) > 0).all()
 
     def test_concat_cli_matches_run(self, walk_files, capsys):
         csv, _ = walk_files

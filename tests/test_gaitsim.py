@@ -11,6 +11,7 @@ from zvnav.gaitsim import (
     PHASE_SWING,
     GaitProfile,
     LabeledRecording,
+    _reference_xi_median,
     extract_calibration_sets,
     fast_profile,
     make_corpus,
@@ -229,6 +230,15 @@ class TestCalibrationSets:
         object.__setattr__(rec, "stationary", None)
         with pytest.raises(CalibrationDataError):
             extract_calibration_sets(rec, 5, noise=NM)
+
+    def test_reference_xi_median_pinned(self):
+        """The label-driven pass on the acceptance calibration walk gives the
+        median swing xi of the unbatched loop at commit 70c23b0, to rounding.
+        Threshold calibration with the informative prior anchors c3 on it."""
+        lab = simulate(normal_profile(NM, seed=777), duration=30.0)
+        pn = ProcessNoise.from_sample_noise(NM, 250.0)
+        xi_star = _reference_xi_median(lab, NM, pn, lab.phase == PHASE_SWING)
+        assert xi_star == pytest.approx(413306.7185063072, rel=1e-9, abs=0.0)
 
     def test_recording_without_phase_uses_run_heuristic(self):
         lab = simulate(normal_profile(seed=24), duration=30.0)

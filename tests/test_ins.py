@@ -5,15 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from zvnav.cli import cmd_sweep
+from zvnav.config import merge_config
 from zvnav.core import ImuSample, NoiseModel, arrays_to_stream
-from zvnav.errors import StreamFormatError
+from zvnav.detectors import shoe_log_lr_trace
+from zvnav.errors import NumericalError, StreamFormatError
+from zvnav.gaitsim import fast_profile, normal_profile, simulate
 from zvnav.ins import (
     NavCovariance,
     NavState,
     ProcessNoise,
+    _filter_lanes,
     align_from_standstill,
     default_initial_covariance,
     propagate,
+    run_lanes,
     run_pipeline,
     xi,
     zupt_update,
@@ -22,6 +28,10 @@ from zvnav.quat import quat_from_rotvec, rotmat_from_quat
 from zvnav.threshold import ThresholdParams
 
 GRAV = 9.81
+
+# `zvnav calibrate --prior informative` on the 30 s acceptance calibration
+# walk (seed 777); c3 != 0, so the threshold carries the speed evidence.
+CALIBRATED = ThresholdParams(-79.49285067236112, -1586.497541086487, -0.0036174878661491203)
 
 
 @pytest.fixture
@@ -327,3 +337,101 @@ class TestRunPipeline:
         assert pu["window_samples"] == 5
         assert (pu["c1"], pu["c2"], pu["c3"]) == (-7.0, -2.0, 0.5)
         assert pu["sigma_zupt"] == nm.sigma_zupt
+
+
+class TestLaneKernel:
+    @pytest.fixture(scope="class")
+    def walks(self):
+        """A normal and a fast walk of unequal lengths (1501 and 1251 samples)."""
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        normal = simulate(normal_profile(noise, seed=1000), 6.0)
+        fast = simulate(fast_profile(noise, seed=1500), 5.0)
+        return noise, [normal.to_recording("normal-00", "normal"),
+                       fast.to_recording("fast-00", "fast")]
+
+    def test_sweep_lanes_match_single_lane_runs(self, walks):
+        noise, recs = walks
+        grid = [-20.0, -600.0]
+        lanes = [ThresholdParams(c1) for c1 in grid] + [CALIBRATED]
+        singles = {}
+        for rec in recs:
+            batched = run_lanes(rec, "shoe", lanes, noise, recording_id=rec.id)
+            assert len(batched) == len(lanes)
+            for lane, report in zip(lanes, batched):
+                single = run_pipeline(rec, "shoe", lane, noise, recording_id=rec.id)
+                assert report.zupt_count > 0
+                assert np.array_equal(report.decisions, single.decisions)
+                # stacks of different height may round the 9x9 products
+                # differently; that reaches the threshold only through xi
+                np.testing.assert_allclose(report.log_gamma_trace, single.log_gamma_trace,
+                                           rtol=1e-9, atol=0.0)
+                assert np.abs(report.trajectory - single.trajectory).max() <= 1e-9
+                assert report.params_used == single.params_used
+                singles[(rec.gait_tag, lane.c1)] = single.loop_closure_error_m
+        cfg = merge_config({"c1": CALIBRATED.c1, "c2": CALIBRATED.c2, "c3": CALIBRATED.c3})
+        rows = cmd_sweep(recs, cfg, grid)
+        assert len(rows) == 3 * len(lanes)
+        members = {"normal": ["normal"], "fast": ["fast"], "all": ["normal", "fast"]}
+        for row in rows:
+            closures = [singles[(tag, row["c1"])] for tag in members[row["subset"]]]
+            expected = math.sqrt(sum(c * c for c in closures) / len(closures))
+            assert row["rmse_m"] == pytest.approx(expected, rel=0.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "profile, seed, closure",
+        [(normal_profile, 1000, 0.035831191255543154),
+         (fast_profile, 1500, 0.027323492757000422)],
+    )
+    def test_acceptance_walk_closure_pinned(self, profile, seed, closure):
+        """Walks 0 of the acceptance corpus (base seed 1000, 30 s) under the
+        calibrated config close within 1e-9 m of the unbatched loop at
+        commit 70c23b0: the kernel changes trajectories by rounding only."""
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        rec = simulate(profile(noise, seed=seed), 30.0).to_recording("walk", "x")
+        report = run_pipeline(rec, "shoe", CALIBRATED, noise)
+        assert report.loop_closure_error_m == pytest.approx(closure, rel=0.0, abs=1e-9)
+
+    def test_coast_without_updates_keeps_covariance_healthy(self, nm):
+        """30 s of walking with a threshold nothing crosses (c1 > 0 >= logl):
+        every step propagates and symmetrizes, no update ever fires."""
+        rec = simulate(normal_profile(nm, seed=1000), 30.0)
+        pn = ProcessNoise.from_sample_noise(nm, 250.0)
+        out = _filter_lanes(
+            rec.t, rec.accel, rec.gyro, align_from_standstill(rec, nm),
+            default_initial_covariance(), nm, pn, 4,
+            lanes=[ThresholdParams(1.0)],
+            logl=shoe_log_lr_trace(rec.accel, rec.gyro, 5, nm),
+        )
+        assert not out.decisions.any()
+        P = out.P[0]
+        assert np.isfinite(P).all()
+        assert np.array_equal(P, P.T)
+        assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.trace(P)
+        assert abs(np.linalg.norm(out.q[0]) - 1.0) < 1e-9
+
+    def test_singular_innovation_covariance_raises(self, nm):
+        # P_vv = -R makes S = P_vv + R exactly zero at the first update, on
+        # the one-lane path and on a lane gathered from a larger stack
+        t, accel, gyro = stationary_arrays(50)
+        P = default_initial_covariance().P.copy()
+        P[3:6, 3:6] = -nm.sigma_zupt**2 * np.eye(3)
+        init = (NavState.identity(), NavCovariance(P))
+        with pytest.raises(NumericalError, match="not invertible"):
+            run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-1e9), nm, init=init,
+                         window_samples=1)
+        with pytest.raises(NumericalError, match="not invertible"):
+            run_lanes((t, accel, gyro), "shoe", [ThresholdParams(1.0), ThresholdParams(-1e9)],
+                      nm, init=init, window_samples=1)
+
+    def test_ill_conditioned_xi_drops_speed_term_in_loop(self, nm):
+        # velocity covariance with condition 1e16 > XI_COND_BOUND: the c3 term
+        # falls back to zero, so the threshold is exactly c1 + c2 * dt
+        t, accel, gyro = stationary_arrays(20)
+        P = default_initial_covariance().P.copy()
+        P[3:6, 3:6] = np.diag([1e8, 1e-8, 1e-8])
+        init = (NavState(np.zeros(3), [0.1, 0.0, 0.0], [1, 0, 0, 0]), NavCovariance(P))
+        params = ThresholdParams(1.0, -2.0, 1e6)
+        report = run_pipeline((t, accel, gyro), "shoe", params, nm, init=init)
+        assert report.zupt_count == 0
+        k = 4  # first full window
+        assert report.log_gamma_trace[k] == params.c1 + params.c2 * (t[k] - t[0])
