@@ -30,7 +30,6 @@ from .ins import (
     zupt_update,
 )
 from .threshold import (
-    DetectorRuntime,
     Hypothesis,
     LossParams,
     PriorParams,
@@ -58,7 +57,6 @@ __all__ = [
     "LossParams",
     "PriorParams",
     "ThresholdParams",
-    "DetectorRuntime",
     "loss_factor",
     "hypothesis_prior",
     "log_threshold",

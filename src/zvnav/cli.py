@@ -35,9 +35,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from .config import default_config, format_config, load_config, merge_config
-from .core import NoiseModel, Recording
+from .core import PERIOD_REL_TOL, NoiseModel, Recording
 from .detectors import get_detector
-from .errors import ConfigError, InputFormatError, NumericalError
+from .errors import ConfigError, InputFormatError, NumericalError, StreamFormatError
 from .gaitsim import (
     GaitProfile,
     extract_calibration_sets,
@@ -45,7 +45,7 @@ from .gaitsim import (
     normal_profile,
     simulate,
 )
-from .ins import ProcessNoise, RunReport, run_lanes, run_pipeline
+from .ins import ProcessNoise, RunReport, run_pipeline, run_recordings
 from .threshold import ThresholdParams, calibrate
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, for g-unit file conversion only
@@ -307,7 +307,7 @@ def read_meta(path: str) -> dict[str, Any]:
     meta: dict[str, Any] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -511,15 +511,16 @@ def cmd_sweep(
         else:
             included.append(rec)
 
-    # one lane per config, stepped together over each recording
+    # one lane per (recording, config), all stepped together in one loop
     lanes = [params for _, _, params in configs]
-    errors: dict[str, list[float]] = {}
-    for rec in recordings:
-        reports = run_lanes(
-            rec, cfg["detector"], lanes, noise, pn,
-            window_samples=window, recording_id=rec.id,
-        )
-        errors[rec.id] = [report.loop_closure_error_m for report in reports]
+    runs = run_recordings(
+        recordings, cfg["detector"], lanes, noise, pn,
+        window_samples=window, recording_ids=[rec.id for rec in recordings],
+    )
+    errors = {
+        rec.id: [report.loop_closure_error_m for report in reports]
+        for rec, reports in zip(recordings, runs)
+    }
 
     tags = sorted({rec.gait_tag for rec in included if rec.gait_tag is not None})
     subsets: list[tuple[str, list[Recording]]] = [
@@ -568,11 +569,22 @@ def concat_recordings(recordings: Sequence[Recording]) -> Recording:
     Each later recording is shifted so the join gap equals its own first
     sample period; filter state then flows across the seam when the result
     is run as a single stream. Labels survive only if every part has them.
+    The joined stream must pass validate_stream, so the median sample
+    periods of adjacent parts may differ by at most its tolerance.
     """
     if not recordings:
         raise ConfigError("concat needs at least one recording")
     if len(recordings) == 1:
         return recordings[0]
+    periods = [(i, rec, float(np.median(np.diff(rec.t))))
+               for i, rec in enumerate(recordings, 1) if len(rec.t) >= 2]
+    for (i, a, pa), (j, b, pb) in zip(periods, periods[1:]):
+        if abs(pb - pa) > PERIOD_REL_TOL * pa:
+            raise StreamFormatError(
+                f"cannot concat part {i} ({a.id}, median period {pa:.6g} s) with "
+                f"part {j} ({b.id}, median period {pb:.6g} s): the sampling rates "
+                f"differ by more than {PERIOD_REL_TOL:.0%}"
+            )
     ts, accels, gyros, labels = [], [], [], []
     have_labels = all(r.stationary is not None for r in recordings)
     t_end = None
@@ -717,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zvnav",
         description="Zero-velocity-aided inertial navigation harness.",
         epilog="exit codes: 0 success, 2 malformed input data, "
-               "3 configuration or usage error, 4 numerical failure",
+               "3 configuration or usage error (an unwritable output path too), "
+               "4 numerical failure",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -893,6 +906,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"zvnav: numerical error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # inputs map their OSErrors to InputFormatError
+        print(f"zvnav: cannot write output: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

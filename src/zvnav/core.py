@@ -158,7 +158,11 @@ class StreamDiagnostics:
             raise StreamFormatError(self.message, index=self.first_bad_index)
 
 
-def validate_stream(stream, rel_tol: float = 0.1) -> StreamDiagnostics:
+# Largest relative deviation of a sample period from the stream's median.
+PERIOD_REL_TOL = 0.1
+
+
+def validate_stream(stream, rel_tol: float = PERIOD_REL_TOL) -> StreamDiagnostics:
     """Check monotone time, finite values, and near-uniform sampling.
 
     Accepts a sequence of :class:`ImuSample`, a ``(t, accel, gyro)`` array

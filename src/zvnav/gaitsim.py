@@ -95,6 +95,8 @@ class GaitProfile:
             raise ConfigError(f"cadence must be positive, got {self.cadence}")
         if not self.sample_rate > 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.speed > 0:
             nominal = self.step_length * self.cadence
             if abs(self.speed - nominal) > 0.1 * nominal:
@@ -272,10 +274,10 @@ def simulate(
     """
     if path not in ("closed-loop", "straight"):
         raise ConfigError(f"path must be 'closed-loop' or 'straight', got {path!r}")
-    if not duration > 0:
-        raise ConfigError(f"duration must be positive, got {duration}")
-    if noise_scale < 0:
-        raise ConfigError(f"noise_scale must be >= 0, got {noise_scale}")
+    if not 0 < duration <= 3600.0:
+        raise ConfigError(f"duration must lie in (0, 3600] s, got {duration}")
+    if not 0 <= noise_scale < math.inf:
+        raise ConfigError(f"noise_scale must be finite and >= 0, got {noise_scale}")
     fs = profile.sample_rate
     n = int(round(duration * fs)) + 1
     t = np.arange(n) / fs

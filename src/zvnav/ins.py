@@ -12,8 +12,11 @@ a_meas = R^T (a_true - g_vec), so at rest R @ a_meas + g_vec = 0.
 One loop drives the filter: propagate on every sample interval, score
 the causal detector window ending at the current sample, compare against
 the adaptive threshold, and apply a zero-velocity update when the
-statistic crosses it. It steps B lanes at once, one lane being one
-(recording, threshold config) pair; run_pipeline is its one-lane case.
+statistic crosses it. It steps an (R recordings x C configs) grid of
+lanes at once; recordings may differ in length, and a recording's lanes
+retire after its last sample. run_recordings is the general call (one
+per sweep), run_lanes its one-recording case, run_pipeline its one-lane
+case.
 """
 
 from __future__ import annotations
@@ -139,17 +142,21 @@ _E4 = np.eye(4)
 _QMUL = np.array([[quat_mul(a, b) for b in _E4] for a in _E4]).transpose(0, 2, 1)
 _ROT = np.array([[[quat_mul(quat_mul(a, e), quat_conj(b))[1:] for e in _E4[1:]]
                   for b in _E4] for a in _E4]).transpose(0, 1, 3, 2).reshape(16, 3, 3)
+# the same operators laid out for stacks: for b of shape (R, 4),
+# (b @ _QMUL_B).reshape(R, 4, 4) is _QMUL @ b per row, and for a of shape
+# (R, 3), (a @ _ROT_A).reshape(R, 16, 3) is _ROT @ a per row
+_QMUL_B = np.ascontiguousarray(_QMUL.reshape(16, 4).T)
+_ROT_A = np.ascontiguousarray(_ROT.transpose(2, 0, 1).reshape(3, 48))
 _F_DT = np.zeros((9, 9))
 _F_DT[0:3, 3:6] = np.eye(3)
 _F_SKEW = np.zeros((3, 9, 9))
 _F_SKEW[:, 3:6, 6:9] = [-skew(e) for e in np.eye(3)]
 _F_SKEW = _F_SKEW.reshape(3, 81)
 _EYE3, _EYE9 = np.eye(3), np.eye(9)
-_H = _EYE9[3:6]  # the update measures velocity
 
 
 def _unit(q):
-    return q / np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    return q / np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0])
 
 
 def _process_rate(pn: ProcessNoise) -> np.ndarray:
@@ -158,37 +165,45 @@ def _process_rate(pn: ProcessNoise) -> np.ndarray:
 
 
 def _propagate(p, v, q, P, accel, dq, dt, g_vec, q_rate):
-    """One mechanization and covariance step for B lanes: p, v (B, 3),
-    q (B, 4), P (B, 9, 9). The specific force (3,) and the gyro increment
-    dq = exp(gyro * dt) (4,) are shared by the lanes. Returns new arrays."""
-    qq = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)
-    f_nav = qq @ (_ROT @ accel)
+    """One mechanization and covariance step for C lanes on each of R
+    recordings: p, v (R, C, 3), q (R, C, 4), P (R, C, 9, 9). A recording's
+    specific force accel (R, 3), gyro increment dq = exp(gyro * dt) (R, 4),
+    dt (R,) and covariance growth rate q_rate (R, 1, 9, 9) are shared by its
+    C lanes. Returns new arrays."""
+    R, C = q.shape[:2]
+    qq = (q[..., :, None] * q[..., None, :]).reshape(R, C, 16)
+    f_nav = qq @ (accel @ _ROT_A).reshape(R, 16, 3)
+    dt = dt[:, None, None]
     v = v + (f_nav + g_vec) * dt
     p = p + v * dt
-    q = _unit(q @ (_QMUL @ dq))
-    F = _EYE9 + dt * (_F_DT + (f_nav @ _F_SKEW).reshape(-1, 9, 9))
-    P = F @ P @ F.transpose(0, 2, 1) + dt * q_rate
-    return p, v, q, 0.5 * (P + P.transpose(0, 2, 1))
+    q = _unit(q @ (dq @ _QMUL_B).reshape(R, 4, 4))
+    dt = dt[..., None]
+    F = _EYE9 + dt * (_F_DT + (f_nav @ _F_SKEW).reshape(R, C, 9, 9))
+    P = F @ P @ F.swapaxes(-1, -2) + dt * q_rate
+    return p, v, q, 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def _zupt(p, v, q, P, r_var):
-    """Zero-velocity update for B lanes (see zupt_update)."""
-    S = P[:, 3:6, 3:6] + r_var * _EYE3
+    """Zero-velocity update for a stack of lanes of any leading shape (see
+    zupt_update). P is symmetric, so K^T = S^-1 H P, and the Joseph form
+    (I - K H) P (I - K H)^T + r K K^T is built from the velocity rows and
+    columns: A = P - K H P, then A - (A H^T) K^T + r K K^T."""
+    S = P[..., 3:6, 3:6] + r_var * _EYE3
     try:
-        Kt = np.linalg.solve(S, P[:, :, 3:6].transpose(0, 2, 1))  # (P H^T S^-1)^T
+        Kt = np.linalg.inv(S) @ P[..., 3:6, :]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"innovation covariance not invertible: {S.tolist()}"
         ) from exc
     if not np.isfinite(Kt).all():
         raise NumericalError(f"innovation covariance ill-formed: {S.tolist()}")
-    K = Kt.transpose(0, 2, 1)
-    dx = (-v[:, None, :] @ Kt)[:, 0]
-    left = (quat_from_rotvec(dx[:, 6:9]) @ _QMUL.reshape(4, 16)).reshape(-1, 4, 4)
-    q = _unit((left @ q[:, :, None])[:, :, 0])
-    IKH = _EYE9 - K @ _H
-    P = IKH @ P @ IKH.transpose(0, 2, 1) + r_var * (K @ Kt)
-    return p + dx[:, 0:3], v + dx[:, 3:6], q, 0.5 * (P + P.transpose(0, 2, 1))
+    K = Kt.swapaxes(-1, -2)
+    dx = (-v[..., None, :] @ Kt)[..., 0, :]
+    left = (quat_from_rotvec(dx[..., 6:9]) @ _QMUL.reshape(4, 16)).reshape(q.shape + (4,))
+    q = _unit((left @ q[..., None])[..., 0])
+    A = P - K @ P[..., 3:6, :]
+    P = A - A[..., 3:6] @ Kt + r_var * (K @ Kt)
+    return p + dx[..., 0:3], v + dx[..., 3:6], q, 0.5 * (P + P.swapaxes(-1, -2))
 
 
 def propagate(state: NavState, cov: NavCovariance, sample, dt: float, noise: NoiseModel,
@@ -204,11 +219,11 @@ def propagate(state: NavState, cov: NavCovariance, sample, dt: float, noise: Noi
     dt = float(dt)
     gyro = np.asarray(sample.gyro, dtype=float)
     p, v, q, P = _propagate(
-        state.p[None], state.v[None], state.q[None], cov.P[None],
-        np.asarray(sample.accel, dtype=float), quat_from_rotvec(gyro * dt), dt,
-        np.array([0.0, 0.0, -noise.gravity_mag]), _process_rate(pn),
+        state.p[None, None], state.v[None, None], state.q[None, None], cov.P[None, None],
+        np.asarray(sample.accel, dtype=float)[None], quat_from_rotvec(gyro * dt)[None],
+        np.array([dt]), np.array([0.0, 0.0, -noise.gravity_mag]), _process_rate(pn),
     )
-    return NavState(p[0], v[0], q[0]), NavCovariance(P[0])
+    return NavState(p[0, 0], v[0, 0], q[0, 0]), NavCovariance(P[0, 0])
 
 
 def zupt_update(state: NavState, cov: NavCovariance,
@@ -278,79 +293,124 @@ def xi(state: NavState, cov: NavCovariance, cond_bound: float = XI_COND_BOUND):
 
 
 class _LaneTraces(NamedTuple):
-    trajectory: np.ndarray  # (n, B, 3)
-    decisions: np.ndarray  # (n, B), True where the lane applied an update
-    log_gamma: np.ndarray  # (n, B), NaN where no threshold was formed
+    trajectory: np.ndarray  # (n, L, 3), NaN past the end of a lane's recording
+    decisions: np.ndarray  # (n, L), True where the lane applied an update
+    log_gamma: np.ndarray  # (n, L), NaN where no threshold was formed
     xi: list  # the one lane's speed evidence on the xi_mask samples
-    q: np.ndarray  # (B, 4) final attitude
-    P: np.ndarray  # (B, 9, 9) final covariance
+    q: np.ndarray  # (L, 4) final attitude
+    P: np.ndarray  # (L, 9, 9) final covariance
 
 
 def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
                   lanes=(), logl=None, zupts=None, xi_mask=None) -> _LaneTraces:
-    """The filter loop: B lanes stepped together over one recording.
+    """The filter loop: C lanes on each of R recordings, stepped together.
 
-    The lanes share the samples and (state0, cov0); each has its own state,
-    covariance and ThresholdParams. From sample first_window on, a lane
-    applies a zero-velocity update where logl[k] exceeds its threshold
-    c1 + c2 * (t_k - t_last) + c3 * xi, t_last being its last update (t_0
-    before the first). xi comes from the covariance before the update it
-    gates, only where c3 != 0; a None xi drops the c3 term. With supplied
-    ``zupts`` (n,) in place of lanes and logl, one lane applies an update
-    where zupts[k] is set and records xi on the samples in xi_mask.
+    ``t``, ``accel``, ``gyro``, ``state0``, ``pn`` and ``logl`` hold one
+    entry per recording, or are one recording's values. Lane r * C + c runs
+    recording r under lanes[c] from (state0[r], cov0); n is the longest
+    recording, and a recording's lanes retire after its last sample. From
+    sample first_window on, a lane applies a zero-velocity update where
+    logl[k] exceeds its threshold c1 + c2 * (t_k - t_last) + c3 * xi, t_last
+    being its last update (t_0 before the first). xi comes from the
+    covariance before the update it gates, only where c3 != 0; a None xi
+    drops the c3 term. With supplied ``zupts`` (n,) in place of lanes and
+    logl, one lane on one recording applies an update where zupts[k] is set
+    and records xi on the samples in xi_mask.
     """
-    n = len(t)
-    dts = np.diff(t)
-    dqs = quat_from_rotvec(gyro[:-1] * dts[:, None])  # gyro increments, once
+    if isinstance(state0, NavState):  # one recording
+        t, accel, gyro, state0, pn, logl = [t], [accel], [gyro], [state0], [pn], [logl]
+    R = len(t)
+    # longest first, so the active recordings at step k are a prefix
+    order = sorted(range(R), key=lambda r: -len(t[r]))
+    ends = [len(t[r]) for r in order]
+    n = ends[0]
+    # per-step inputs in sorted order; step k integrates sample k - 1 over
+    # dts[k] = t_k - t_{k-1}. Entries past a recording's end are never read.
+    ts = np.zeros((n, R, 1))
+    dts = np.zeros((n, R))
+    accels = np.zeros((n, R, 3))
+    dqs = np.zeros((n, R, 4))
+    logls = np.full((n, R, 1), np.nan)
+    for j, r in enumerate(order):
+        m = ends[j]
+        ts[:m, j, 0] = t[r]
+        dts[1:m, j] = np.diff(t[r])
+        accels[1:m, j] = accel[r][:-1]
+        dqs[1:m, j] = quat_from_rotvec(gyro[r][:-1] * dts[1:m, j, None])
+        if zupts is None:
+            logls[:m, j, 0] = logl[r]
     g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    q_rate = _process_rate(pn)
+    q_rate = np.array([_process_rate(pn[r]) for r in order])[:, None]
     r_var = noise.sigma_zupt**2
-    B = len(lanes)
-    if zupts is not None:
-        zupts, B = np.asarray(zupts, dtype=bool).reshape(n, 1), 1
-    c1 = np.array([lane.c1 for lane in lanes])
-    c2 = np.array([lane.c2 for lane in lanes])
-    xi_lanes = [(i, lane.c3) for i, lane in enumerate(lanes) if lane.c3 != 0.0]
-    p, v, q = (np.tile(x, (B, 1)) for x in (state0.p, state0.v, state0.q))
-    P = np.tile(cov0.P, (B, 1, 1))
-    trajectory = np.empty((n, B, 3))
-    decisions = np.zeros((n, B), dtype=bool)
-    log_gamma = np.full((n, B), np.nan)
-    t_last = np.full(B, t[0])
+    C = len(lanes)
+    if zupts is not None:  # the supplied decisions take the statistic's place
+        logls, C = np.asarray(zupts, dtype=bool).reshape(n, 1, 1), 1
+    c1 = np.array([[lane.c1 for lane in lanes]])
+    c2 = np.array([[lane.c2 for lane in lanes]])
+    xi_lanes = [(c, lane.c3) for c, lane in enumerate(lanes) if lane.c3 != 0.0]
+
+    p, v, q = (np.repeat(np.array([getattr(state0[r], x) for r in order])[:, None], C, 1)
+               for x in "pvq")
+    P = np.tile(cov0.P, (R, C, 1, 1))
+    trajectory = np.empty((n, R, C, 3))
+    decisions = np.zeros((n, R, C), dtype=bool)
+    log_gamma = np.full((n, R, C), np.nan)
+    traj, dec, lgam = trajectory, decisions, log_gamma  # the active recordings
+    q_end = np.empty((R, C, 4))
+    P_end = np.empty((R, C, 9, 9))
+    t_last = np.repeat(ts[0], C, 1)
     xis = []
+    active = R
     for k in range(n):
+        while ends[active - 1] == k:  # the last active recording has ended
+            active -= 1
+            q_end[active], P_end[active] = q[active], P[active]
+            traj[k:, active] = np.nan
+            p, v, q, P, t_last, q_rate = (
+                x[:active] for x in (p, v, q, P, t_last, q_rate))
+            ts, dts, accels, dqs, logls, traj, dec, lgam = (
+                x[:, :active] for x in (ts, dts, accels, dqs, logls, traj, dec, lgam))
         if k:
-            p, v, q, P = _propagate(
-                p, v, q, P, accel[k - 1], dqs[k - 1], dts[k - 1], g_vec, q_rate
-            )
+            p, v, q, P = _propagate(p, v, q, P, accels[k], dqs[k], dts[k], g_vec, q_rate)
         if k >= first_window:
             if zupts is None:
-                lg = c1 + c2 * (t[k] - t_last)
-                for i, c3 in xi_lanes:
-                    ev = _xi(P[i, 3:6, 3:6].tolist(), v[i].tolist(), XI_COND_BOUND)
-                    if ev is not None:
-                        lg[i] += c3 * ev
-                log_gamma[k] = lg
-                fire = logl[k] > lg  # NaN never passes
+                lg = c1 + c2 * (ts[k] - t_last)
+                for c, c3 in xi_lanes:
+                    for r in range(active):
+                        ev = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist(), XI_COND_BOUND)
+                        if ev is not None:
+                            lg[r, c] += c3 * ev
+                lgam[k] = lg
+                fire = logls[k] > lg  # NaN never passes
             else:
                 if xi_mask[k]:
-                    ev = _xi(P[0, 3:6, 3:6].tolist(), v[0].tolist(), XI_COND_BOUND)
+                    ev = _xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(), XI_COND_BOUND)
                     if ev is not None:
                         xis.append(ev)
-                fire = zupts[k]
+                fire = logls[k]
             fired = np.count_nonzero(fire)
             if fired:
-                if fired == B:  # no gather when every lane fires
+                if fired == fire.size:  # no gather when every lane fires
                     p, v, q, P = _zupt(p, v, q, P, r_var)
                 else:
-                    i = np.flatnonzero(fire)
-                    p[i], v[i], q[i], P[i] = _zupt(p[i], v[i], q[i], P[i], r_var)
-                decisions[k] = fire
-                t_last[fire] = t[k]
-        trajectory[k] = p
-    if not (np.isfinite(trajectory).all() and np.isfinite(P).all()):
+                    p[fire], v[fire], q[fire], P[fire] = _zupt(
+                        p[fire], v[fire], q[fire], P[fire], r_var)
+                dec[k] = fire
+                np.copyto(t_last, ts[k], where=fire)
+        traj[k] = p
+    q_end[:active], P_end[:active] = q, P
+    ends_at = np.array(ends) - 1
+    if not (np.isfinite(trajectory[ends_at, np.arange(R)]).all() and np.isfinite(P_end).all()):
         raise NumericalError("filter state became non-finite")
-    return _LaneTraces(trajectory, decisions, log_gamma, xis, q, P)
+    if order != sorted(order):  # back to input order
+        back = np.argsort(order)
+        trajectory, decisions, log_gamma, q_end, P_end = (
+            trajectory[:, back], decisions[:, back], log_gamma[:, back], q_end[back],
+            P_end[back])
+    L = R * C
+    return _LaneTraces(trajectory.reshape(n, L, 3), decisions.reshape(n, L),
+                       log_gamma.reshape(n, L), xis, q_end.reshape(L, 4),
+                       P_end.reshape(L, 9, 9))
 
 
 @dataclass(frozen=True)
@@ -375,61 +435,87 @@ class RunReport:
         return int(self.decisions.sum())
 
 
-def run_lanes(
-    stream, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
-    init=None, *, window_samples: int = 5, recording_id: str = "",
-) -> list[RunReport]:
-    """Run detector + filter over one stream once per ThresholdParams in
-    ``lanes``, stepping the lanes together; one report per lane, in order.
+def run_recordings(
+    streams, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
+    init=None, *, window_samples: int = 5, recording_ids=None,
+) -> list[list[RunReport]]:
+    """Run detector + filter over each stream once per ThresholdParams in
+    ``lanes``, stepping every (stream, lane) pair together in one loop.
+    Returns, per stream in order, one report per lane in order.
 
-    Validation, the detector trace, the process noise and the initial state
-    are computed once for all lanes. ``init`` may be None (level from the
-    first second of data, default covariance), a NavState (default
-    covariance), or a (NavState, NavCovariance) pair.
+    Validation, the detector trace, the process noise (when ``pn`` is None)
+    and the initial state are computed per stream, in order, so the first
+    bad stream raises. Streams may differ in length and sample rate.
+    ``init`` applies to every stream: None (level each from its first
+    second of data, default covariance), a NavState (default covariance),
+    or a (NavState, NavCovariance) pair.
     """
-    t, accel, gyro = stream_to_arrays(stream)
-    if len(t) < 2:
-        raise StreamFormatError("pipeline needs at least 2 samples")
-    validate_stream((t, accel, gyro)).raise_if_bad()
-    spec = get_detector(detector)
-    logl = spec.trace(accel, gyro, window_samples, noise)
+    if not streams:
+        return []
+    recording_ids = recording_ids or [""] * len(streams)
+    ts, accels, gyros, logls, states, pns = [], [], [], [], [], []
+    for stream in streams:
+        t, accel, gyro = stream_to_arrays(stream)
+        if len(t) < 2:
+            raise StreamFormatError("pipeline needs at least 2 samples")
+        validate_stream((t, accel, gyro)).raise_if_bad()
+        spec = get_detector(detector)
+        logls.append(spec.trace(accel, gyro, window_samples, noise))
+        if pn is None:
+            median_period = float(np.median(np.diff(t)))
+            pns.append(ProcessNoise.from_sample_noise(noise, 1.0 / median_period))
+        else:
+            pns.append(pn)
+        if init is None:
+            states.append(align_from_standstill((t, accel, gyro), noise))
+        else:
+            states.append(init if isinstance(init, NavState) else init[0])
+        ts.append(t)
+        accels.append(accel)
+        gyros.append(gyro)
+    cov0 = default_initial_covariance() if init is None or isinstance(init, NavState) \
+        else init[1]
 
-    if pn is None:
-        median_period = float(np.median(np.diff(t)))
-        pn = ProcessNoise.from_sample_noise(noise, 1.0 / median_period)
-    if init is None:
-        state0 = align_from_standstill((t, accel, gyro), noise)
-        cov0 = default_initial_covariance()
-    elif isinstance(init, NavState):
-        state0, cov0 = init, default_initial_covariance()
-    else:
-        state0, cov0 = init
-
-    out = _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, window_samples - 1,
-                        lanes=lanes, logl=logl)
-    shared = {
-        "detector": spec.name,
-        "window_samples": window_samples,
-        "sigma_a": noise.sigma_a,
-        "sigma_w": noise.sigma_w,
-        "gravity_mag": noise.gravity_mag,
-        "sigma_zupt": noise.sigma_zupt,
-        "accel_psd": pn.accel_psd,
-        "gyro_psd": pn.gyro_psd,
-        "xi_cond_bound": XI_COND_BOUND,
-    }
+    out = _filter_lanes(ts, accels, gyros, states, cov0, noise, pns, window_samples - 1,
+                        lanes=lanes, logl=logls)
     reports = []
-    for b, lane in enumerate(lanes):
-        trajectory = out.trajectory[:, b]
-        reports.append(RunReport(
-            recording_id=recording_id,
-            trajectory=trajectory,
-            decisions=out.decisions[:, b],
-            logl_trace=logl,
-            log_gamma_trace=out.log_gamma[:, b],
-            loop_closure_error_m=float(np.linalg.norm(trajectory[-1] - trajectory[0])),
-            params_used={**shared, "c1": lane.c1, "c2": lane.c2, "c3": lane.c3},
-        ))
+    for r, (t, logl, rate, rec_id) in enumerate(zip(ts, logls, pns, recording_ids)):
+        shared = {
+            "detector": spec.name,
+            "window_samples": window_samples,
+            "sigma_a": noise.sigma_a,
+            "sigma_w": noise.sigma_w,
+            "gravity_mag": noise.gravity_mag,
+            "sigma_zupt": noise.sigma_zupt,
+            "accel_psd": rate.accel_psd,
+            "gyro_psd": rate.gyro_psd,
+            "xi_cond_bound": XI_COND_BOUND,
+        }
+        n = len(t)
+        row = []
+        for c, lane in enumerate(lanes):
+            b = r * len(lanes) + c
+            trajectory = out.trajectory[:n, b]
+            row.append(RunReport(
+                recording_id=rec_id,
+                trajectory=trajectory,
+                decisions=out.decisions[:n, b],
+                logl_trace=logl,
+                log_gamma_trace=out.log_gamma[:n, b],
+                loop_closure_error_m=float(np.linalg.norm(trajectory[-1] - trajectory[0])),
+                params_used={**shared, "c1": lane.c1, "c2": lane.c2, "c3": lane.c3},
+            ))
+        reports.append(row)
+    return reports
+
+
+def run_lanes(stream, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
+              init=None, *, window_samples: int = 5, recording_id: str = "",
+              ) -> list[RunReport]:
+    """run_recordings with the one stream ``stream``: one report per lane."""
+    (reports,) = run_recordings([stream], detector, lanes, noise, pn, init,
+                                window_samples=window_samples,
+                                recording_ids=[recording_id])
     return reports
 
 

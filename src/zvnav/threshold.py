@@ -111,53 +111,6 @@ class ThresholdParams:
             )
 
 
-@dataclass
-class DetectorRuntime:
-    """Mutable per-stream detector clock: when the last update fired.
-
-    ``last_zupt_time`` starts at the stream start time, treating the
-    platform as stationary at startup, so the first window's dt measures
-    time since the beginning of the recording. One runtime per stream,
-    advanced in time order.
-    """
-
-    last_zupt_time: float
-    current_time: float = math.nan
-    zupt_count: int = 0
-
-    def __post_init__(self):
-        if math.isnan(self.current_time):
-            self.current_time = self.last_zupt_time
-        if self.current_time < self.last_zupt_time:
-            raise ValueError(
-                f"current_time {self.current_time} precedes "
-                f"last_zupt_time {self.last_zupt_time}"
-            )
-
-    @property
-    def dt(self) -> float:
-        return self.current_time - self.last_zupt_time
-
-    def dt_since_zupt(self, t: float) -> float:
-        """Elapsed time a decision made at t would see; does not advance."""
-        return max(t - self.last_zupt_time, 0.0)
-
-
-def update_runtime(
-    rt: DetectorRuntime, decision: Hypothesis, t_now: float
-) -> DetectorRuntime:
-    """Advance the runtime clock past a decision made at t_now (in place)."""
-    if t_now < rt.current_time:
-        raise ValueError(
-            f"time went backwards: {t_now} < current_time {rt.current_time}"
-        )
-    rt.current_time = t_now
-    if decision == Hypothesis.STATIONARY:
-        rt.last_zupt_time = t_now
-        rt.zupt_count += 1
-    return rt
-
-
 def loss_factor(loss: LossParams, dt: float) -> float:
     """eta(dt) = max(alpha * exp(-theta * dt), floor)."""
     if dt < 0.0:

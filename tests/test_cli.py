@@ -1,6 +1,8 @@
 """Command-line harness: ingest, reports, sweep, concat, calibrate, exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -228,6 +230,81 @@ def test_arbitrary_text_parses_or_raises_input_error(parse, input_file, text):
         pass
 
 
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Tiny inputs for the exit-code property: a 2 s slice of a walk with
+    labels and meta, malformed, undecodable and missing files, and a
+    directory where an output file would go."""
+    root = tmp_path_factory.mktemp("argv")
+    lab = simulate(normal_profile(NM, seed=43), 4.5)
+    n = 500
+    rec = dataclasses.replace(
+        lab.to_recording("good", "normal"),
+        t=lab.t[:n], accel=lab.accel[:n], gyro=lab.gyro[:n], stationary=lab.stationary[:n],
+    )
+    write_recording_csv(str(root / "good.csv"), rec)
+    write_labels_csv(str(root / "good.labels.csv"), rec.t, rec.stationary)
+    write_meta(str(root / "good.meta"), rec)
+    write_recording_csv(str(root / "badmeta.csv"), rec)
+    (root / "badmeta.meta").write_bytes(b"\xff\xfeloop_length_m=x\n")
+    (root / "bad.csv").write_text("t,ax\n1,2\n", encoding="utf-8")
+    (root / "binary.bin").write_bytes(b"\x00\xff\xfe\x80garbage")
+    (root / "good.cfg").write_text("c1=-50\nthreshold_mode=fixed\n", encoding="utf-8")
+    (root / "bad.cfg").write_text("c1=abc\n", encoding="utf-8")
+    (root / "outdir").mkdir()
+    return root
+
+
+_ARGV_FILES = ("good.csv", "good.labels.csv", "badmeta.csv", "bad.csv", "binary.bin",
+               "good.cfg", "bad.cfg", "missing.csv", "outdir", "out.txt")
+_NUMBERS = ("0", "-1", "0.5", "6", "-50", "1e308", "-1e308", "nan", "inf", "abc")
+_ARGV_OPTION = st.one_of(
+    st.tuples(st.sampled_from(["--labels", "--config", "--report", "--trace", "--out"]),
+              st.sampled_from(_ARGV_FILES)),
+    st.tuples(st.sampled_from(["--c1", "--c2", "--c3", "--log-gamma", "--epsilon", "--dtau",
+                               "--sigma-a", "--sigma-w", "--gravity-mag", "--sigma-zupt",
+                               "--accel-psd", "--gyro-psd", "--grid-lo", "--grid-hi",
+                               "--noise-scale", "--duration"]),
+              st.sampled_from(_NUMBERS)),
+    st.tuples(st.sampled_from(["--window-samples", "--grid-points", "--seed"]),
+              st.sampled_from(["0", "-1", "1", "5", "1000000000", "x"])),
+    st.tuples(st.just("--grid"), st.sampled_from(["-20,-200", ",", "nan", "x", "-1e308"])),
+    st.tuples(st.sampled_from(["--detector", "--prior", "--threshold-mode", "--gait", "--path",
+                               "--gyro-unit", "--accel-unit"]),
+              st.sampled_from(["shoe", "are", "informative", "fixed", "fast", "straight",
+                               "deg", "g", "x"])),
+    st.sampled_from([("--print-config",), ("--help",), ("--bogus",)]),
+)
+_ARGV = st.tuples(
+    st.sampled_from(["run", "sweep", "calibrate", "simulate", "concat", "bogus"]),
+    st.lists(st.sampled_from(_ARGV_FILES), max_size=2),
+    st.lists(_ARGV_OPTION, max_size=3),
+)
+
+
+@given(argv=_ARGV)
+@settings(max_examples=60, deadline=None)
+def test_main_exit_code_is_documented(argv_files, argv):
+    """Whatever the argv, main() returns 0, 2, 3 or 4 (an argparse exit
+    counts as its code) and never raises."""
+    command, operands, options = argv
+    args = [command] + [str(argv_files / name) for name in operands]
+    for option in options:
+        args.append(option[0])
+        if len(option) > 1:
+            value = option[1]
+            args.append(str(argv_files / value) if value in _ARGV_FILES else value)
+    if command == "simulate" and "--out" not in args:
+        args += ["--out", str(argv_files / "sim")]
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (args, sink.getvalue()[-500:])
+
+
 class TestLabels:
     def test_labels_round_trip(self, walk_rec, tmp_path):
         csv = tmp_path / "w.csv"
@@ -436,6 +513,15 @@ class TestConcat:
     def test_labels_dropped_unless_everywhere(self, still_rec, walk_rec):
         bare = dataclasses.replace(walk_rec, stationary=None)
         assert concat_recordings([still_rec, bare]).stationary is None
+
+    def test_mixed_rate_concat_exits_2_naming_parts(self, walk_rec, tmp_path, capsys):
+        fast, slow = tmp_path / "fast250.csv", tmp_path / "slow100.csv"
+        write_recording_csv(str(fast), walk_rec)
+        write_recording_csv(str(slow), dataclasses.replace(walk_rec, t=walk_rec.t * 2.5))
+        assert main(["concat", str(fast), str(slow)]) == 2
+        err = capsys.readouterr().err
+        assert "part 1 (fast250, median period 0.004 s)" in err
+        assert "part 2 (slow100, median period 0.01 s)" in err
 
     def test_empty_concat_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):

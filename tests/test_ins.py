@@ -21,6 +21,7 @@ from zvnav.ins import (
     propagate,
     run_lanes,
     run_pipeline,
+    run_recordings,
     xi,
     zupt_update,
 )
@@ -377,6 +378,67 @@ class TestLaneKernel:
             expected = math.sqrt(sum(c * c for c in closures) / len(closures))
             assert row["rmse_m"] == pytest.approx(expected, rel=0.0, abs=1e-9)
 
+    def test_recording_axis_matches_single_lane_runs(self, walks):
+        """Three recordings of unequal length (1501, 1251 and 1126 samples),
+        given shortest-first and unsorted so the kernel's longest-first order
+        and its retirement of ended recordings both show: every (recording,
+        config) lane of one call matches its own one-lane run."""
+        noise, (normal, fast) = walks
+        # 4.5 s: the shortest normal walk that fits two gait cycles
+        short = simulate(normal_profile(noise, seed=1001), 4.5).to_recording("normal-01",
+                                                                            "normal")
+        recs = [fast, short, normal]
+        grid = [-20.0, -600.0]
+        lanes = [ThresholdParams(c1) for c1 in grid] + [CALIBRATED]
+        batched = run_recordings(recs, "shoe", lanes, noise,
+                                 recording_ids=[rec.id for rec in recs])
+        assert [len(row) for row in batched] == [len(lanes)] * len(recs)
+        closures = {}
+        for rec, row in zip(recs, batched):
+            for lane, report in zip(lanes, row):
+                single = run_pipeline(rec, "shoe", lane, noise, recording_id=rec.id)
+                assert report.recording_id == rec.id
+                assert report.trajectory.shape == (len(rec.t), 3)
+                assert report.zupt_count > 0
+                assert np.array_equal(report.decisions, single.decisions)
+                np.testing.assert_allclose(report.log_gamma_trace, single.log_gamma_trace,
+                                           rtol=1e-9, atol=0.0)
+                assert np.abs(report.trajectory - single.trajectory).max() <= 1e-9
+                assert report.params_used == single.params_used
+                closures[(rec.id, lane.c1)] = single.loop_closure_error_m
+        cfg = merge_config({"c1": CALIBRATED.c1, "c2": CALIBRATED.c2, "c3": CALIBRATED.c3})
+        rows = cmd_sweep(recs, cfg, grid)
+        members = {"normal": [short, normal], "fast": [fast], "all": recs}
+        assert len(rows) == len(members) * len(lanes)
+        for row in rows:
+            errs = [closures[(rec.id, row["c1"])] for rec in members[row["subset"]]]
+            assert row["n_recordings"] == len(errs)
+            expected = math.sqrt(sum(e * e for e in errs) / len(errs))
+            assert row["rmse_m"] == pytest.approx(expected, rel=0.0, abs=1e-9)
+
+    def test_recording_axis_keeps_invariants(self, walks):
+        """P symmetric and PSD and |q| = 1 on every lane of a multi-recording
+        call, including the lanes of a recording that retired early."""
+        noise, recs = walks
+        out = run_recordings(recs, "shoe", [ThresholdParams(-20.0), CALIBRATED], noise)
+        assert len(out) == 2
+        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        lanes = _filter_lanes(
+            [rec.t for rec in recs], [rec.accel for rec in recs], [rec.gyro for rec in recs],
+            [align_from_standstill(rec, noise) for rec in recs],
+            default_initial_covariance(), noise, [pn, pn], 4,
+            lanes=[ThresholdParams(-20.0), CALIBRATED],
+            logl=[shoe_log_lr_trace(rec.accel, rec.gyro, 5, noise) for rec in recs],
+        )
+        assert lanes.trajectory.shape == (len(recs[0].t), 4, 3)
+        # the shorter recording's lanes hold NaN past its end
+        assert np.isnan(lanes.trajectory[len(recs[1].t):, 2:]).all()
+        assert np.isfinite(lanes.trajectory[:len(recs[1].t)]).all()
+        for P, q in zip(lanes.P, lanes.q):
+            assert np.array_equal(P, P.T)
+            assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.trace(P)
+            assert abs(np.linalg.norm(q) - 1.0) < 1e-9
+
     @pytest.mark.parametrize(
         "profile, seed, closure",
         [(normal_profile, 1000, 0.035831191255543154),
@@ -422,6 +484,17 @@ class TestLaneKernel:
         with pytest.raises(NumericalError, match="not invertible"):
             run_lanes((t, accel, gyro), "shoe", [ThresholdParams(1.0), ThresholdParams(-1e9)],
                       nm, init=init, window_samples=1)
+        # and on a lane of the second recording of a multi-recording call: the
+        # first (longer, spinning: logl = -11250) never crosses c1 = -1e3, the
+        # second (at rest: logl = 0) does on its second lane
+        spin = (np.arange(60) / 250.0, np.tile([0.0, 0.0, GRAV], (60, 1)),
+                np.tile([3.0, 0.0, 0.0], (60, 1)))
+        lanes = [ThresholdParams(1.0), ThresholdParams(-1e3)]
+        assert not any(r.zupt_count for r in run_lanes(spin, "shoe", lanes, nm, init=init,
+                                                       window_samples=1))
+        with pytest.raises(NumericalError, match="not invertible"):
+            run_recordings([spin, (t, accel, gyro)], "shoe", lanes, nm, init=init,
+                           window_samples=1)
 
     def test_ill_conditioned_xi_drops_speed_term_in_loop(self, nm):
         # velocity covariance with condition 1e16 > XI_COND_BOUND: the c3 term

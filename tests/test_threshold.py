@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from zvnav.errors import CalibrationDataError, ConfigError
 from zvnav.threshold import (
-    DetectorRuntime,
     Hypothesis,
     LossParams,
     PriorParams,
@@ -22,7 +21,6 @@ from zvnav.threshold import (
     loss_factor,
     params_from_bayes,
     threshold_from_bayes,
-    update_runtime,
 )
 
 
@@ -172,42 +170,6 @@ class TestDecide:
             logl + offset, log_threshold(ThresholdParams(c1 + offset), 0.0, None)
         )
         assert base == shifted
-
-
-class TestRuntime:
-    def test_zupt_resets_dt(self):
-        rt = DetectorRuntime(last_zupt_time=0.0)
-        update_runtime(rt, Hypothesis.STATIONARY, 5.0)
-        assert rt.dt == 0.0
-        assert rt.zupt_count == 1
-
-    def test_moving_accumulates_dt(self):
-        rt = DetectorRuntime(last_zupt_time=0.0)
-        update_runtime(rt, Hypothesis.STATIONARY, 5.0)
-        for t in np.arange(5.1, 6.05, 0.1):
-            update_runtime(rt, Hypothesis.MOVING, float(t))
-        assert rt.dt == pytest.approx(1.0, abs=1e-9)
-
-    def test_alternating_at_250hz_bounds_dt(self):
-        rt = DetectorRuntime(last_zupt_time=0.0)
-        period = 1.0 / 250.0
-        worst = 0.0
-        for k in range(1, 1001):
-            t = k * period
-            worst = max(worst, rt.dt_since_zupt(t))
-            decision = Hypothesis.STATIONARY if k % 2 == 0 else Hypothesis.MOVING
-            update_runtime(rt, decision, t)
-        assert worst <= 2 * period + 1e-12
-
-    def test_time_backwards_rejected(self):
-        rt = DetectorRuntime(last_zupt_time=0.0)
-        update_runtime(rt, Hypothesis.MOVING, 1.0)
-        with pytest.raises(ValueError):
-            update_runtime(rt, Hypothesis.MOVING, 0.5)
-
-    def test_initial_dt_measures_from_stream_start(self):
-        rt = DetectorRuntime(last_zupt_time=2.0)
-        assert rt.dt_since_zupt(2.016) == pytest.approx(0.016)
 
 
 class TestInterpQuantile:
