@@ -29,6 +29,7 @@ import re
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .config import default_config, format_config, load_config, merge_config
 from .core import PERIOD_REL_TOL, NoiseModel, Recording
-from .detectors import get_detector
+from .detectors import check_gravity_direction, get_detector
 from .errors import ConfigError, InputFormatError, NumericalError, StreamFormatError
 from .gaitsim import (
     GaitProfile,
@@ -51,6 +52,10 @@ from .threshold import ThresholdParams, calibrate
 STANDARD_GRAVITY = 9.80665  # m/s^2, for g-unit file conversion only
 
 REPORT_FORMAT = "zvnav-report-v1"
+
+# Largest log-spaced sweep grid. Every grid point is one filter lane per
+# recording, holding a trajectory and traces as long as the recording.
+MAX_GRID_POINTS = 1000
 
 _COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 
@@ -157,6 +162,38 @@ def _parse_field(path: str, r: int, text: str) -> float:
     return value
 
 
+def _fast_rows(rows: list[str], width: int) -> np.ndarray | None:
+    """Data rows as a (len(rows), width) array of finite floats, parsed in
+    one streaming pass; None if any row has the wrong field count or a
+    field that is not a finite number. The row-by-row parsers then name the
+    offending row."""
+    if not all(line.count(",") == width - 1 for line in rows):
+        return None
+    fields = chain.from_iterable(line.split(",") for line in rows)
+    try:
+        data = np.fromiter(map(float, fields), dtype=float, count=len(rows) * width)
+    except ValueError:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    return data.reshape(len(rows), width)
+
+
+def _csv_rows(path: str, rows: list[str]) -> np.ndarray:
+    """Row-by-row IMU parser: the reference for :func:`_fast_rows`, and the
+    source of the row-numbered error when that gives up."""
+    data = np.empty((len(rows), len(_COLUMNS)))
+    for r, line in enumerate(rows, start=1):
+        parts = line.split(",")
+        if len(parts) != len(_COLUMNS):
+            raise InputFormatError(
+                f"{path}: row {r}: expected {len(_COLUMNS)} fields, "
+                f"got {len(parts)}"
+            )
+        data[r - 1] = [_parse_field(path, r, part) for part in parts]
+    return data
+
+
 def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
     """Parse one IMU CSV into a Recording, applying unit conversions.
 
@@ -199,15 +236,9 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
     rows = lines[1:]
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
-    data = np.empty((len(rows), len(_COLUMNS)))
-    for r, line in enumerate(rows, start=1):
-        parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise InputFormatError(
-                f"{path}: row {r}: expected {len(_COLUMNS)} fields, "
-                f"got {len(parts)}"
-            )
-        data[r - 1] = [_parse_field(path, r, part) for part in parts]
+    data = _fast_rows(rows, len(_COLUMNS))
+    if data is None:
+        data = _csv_rows(path, rows)
 
     t = data[:, 0]
     bad = np.flatnonzero(np.diff(t) <= 0)
@@ -227,14 +258,12 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
     return Recording(id=Path(path).stem, t=t, accel=accel, gyro=gyro)
 
 
-def ingest_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a ``t,stationary`` sidecar; times must be finite, values 0 or 1."""
-    lines = _read_rows(path)
-    if not lines or [f.strip().lower() for f in lines[0].split(",")] != ["t", "stationary"]:
-        raise InputFormatError(f"{path}: labels header must be t,stationary")
-    times = np.empty(len(lines) - 1)
-    flags = np.empty(len(lines) - 1, dtype=bool)
-    for r, line in enumerate(lines[1:], start=1):
+def _label_rows(path: str, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row labels parser: the reference for the streaming pass in
+    :func:`ingest_labels`, and the source of its row-numbered errors."""
+    times = np.empty(len(rows))
+    flags = np.empty(len(rows), dtype=bool)
+    for r, line in enumerate(rows, start=1):
         parts = line.split(",")
         if len(parts) != 2:
             raise InputFormatError(
@@ -248,6 +277,19 @@ def ingest_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
             )
         flags[r - 1] = label == "1"
     return times, flags
+
+
+def ingest_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a ``t,stationary`` sidecar; times must be finite, values 0 or 1."""
+    lines = _read_rows(path)
+    if not lines or [f.strip().lower() for f in lines[0].split(",")] != ["t", "stationary"]:
+        raise InputFormatError(f"{path}: labels header must be t,stationary")
+    rows = lines[1:]
+    data = _fast_rows(rows, 2)
+    # a label is the text 0 or 1, not any number equal to it
+    if data is None or not all(line.rpartition(",")[2].strip() in ("0", "1") for line in rows):
+        return _label_rows(path, rows)
+    return data[:, 0].copy(), data[:, 1] == 1.0
 
 
 def attach_labels(rec: Recording, times: np.ndarray, flags: np.ndarray) -> Recording:
@@ -275,23 +317,28 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_row(row: np.ndarray, sep: str) -> str:
+    """One float row as repr fields: the text of :func:`_fmt_float`, from one
+    ``tolist`` call instead of a conversion per element."""
+    return sep.join(map(repr, row.tolist()))
+
+
 def write_recording_csv(path: str, rec: Recording) -> None:
     """Write a recording in the exchange format, always in SI units.
 
     Floats are written with repr so a read-back reproduces them exactly.
     """
-    out = ["t,ax,ay,az,gx,gy,gz"]
-    for i in range(len(rec)):
-        row = [rec.t[i], *rec.accel[i], *rec.gyro[i]]
-        out.append(",".join(_fmt_float(x) for x in row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    table = np.column_stack([rec.t, rec.accel, rec.gyro])
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,ax,ay,az,gx,gy,gz\n")
+        fh.writelines(_fmt_row(row, ",") + "\n" for row in table)
 
 
 def write_labels_csv(path: str, t: np.ndarray, stationary: np.ndarray) -> None:
-    out = ["t,stationary"]
-    for ti, si in zip(t, stationary):
-        out.append(f"{_fmt_float(ti)},{1 if si else 0}")
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,stationary\n")
+        fh.writelines(f"{ti!r},{1 if si else 0}\n"
+                      for ti, si in zip(np.asarray(t, dtype=float).tolist(), stationary))
 
 
 def write_meta(path: str, rec: Recording) -> None:
@@ -390,20 +437,12 @@ def format_trace(report: RunReport, t: np.ndarray) -> str:
     both traces.
     """
     lines = ["t\tlogl\tlog_gamma\tdecision\tpx\tpy\tpz"]
-    for k in range(len(t)):
-        lines.append(
-            "\t".join(
-                [
-                    _fmt_float(t[k]),
-                    _fmt_float(report.logl_trace[k]),
-                    _fmt_float(report.log_gamma_trace[k]),
-                    str(int(report.decisions[k])),
-                    _fmt_float(report.trajectory[k, 0]),
-                    _fmt_float(report.trajectory[k, 1]),
-                    _fmt_float(report.trajectory[k, 2]),
-                ]
-            )
-        )
+    rows = zip(
+        np.column_stack([t, report.logl_trace, report.log_gamma_trace]),
+        report.decisions.tolist(),
+        report.trajectory,
+    )
+    lines += [_fmt_row(a, "\t") + f"\t{d:d}\t" + _fmt_row(p, "\t") for a, d, p in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -629,16 +668,18 @@ def cmd_calibrate(rec: Recording, cfg: dict[str, Any]) -> ThresholdParams:
     prior anchors it at the reference swing speed statistic.
     """
     noise = noise_from_config(cfg)
-    sets = extract_calibration_sets(
-        rec, _check_window(cfg), noise=noise, pn=process_noise_from_config(cfg)
-    )
+    n = _check_window(cfg)
+    sets = extract_calibration_sets(rec, n, noise=noise, pn=process_noise_from_config(cfg))
     det = get_detector(cfg["detector"])
-    stationary = [det.per_window(w, noise).value for w in sets.stationary]
-    midstance = [det.per_window(w, noise).value for w in sets.midstance]
-    swing = [det.per_window(w, noise).value for w in sets.swing]
+    if det.name == "shoe":  # SHOE needs each window's own gravity direction
+        check_gravity_direction(
+            rec.accel, np.concatenate([sets.stationary, sets.midstance, sets.swing]), n
+        )
+    logl = det.trace(rec.accel, rec.gyro, n, noise)
     xi_star = sets.xi_star if cfg["prior"] == "informative" else None
     return calibrate(
-        stationary, midstance, swing, xi_star,
+        logl[sets.stationary + n - 1], logl[sets.midstance + n - 1],
+        logl[sets.swing + n - 1], xi_star,
         dtau=cfg["dtau"], epsilon=cfg["epsilon"],
     )
 
@@ -752,7 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid-hi", type=float, default=-6000.0,
                          help="last grid value (default -6000)")
     p_sweep.add_argument("--grid-points", type=int, default=20,
-                         help="log-spaced grid size (default 20)")
+                         help="log-spaced grid size (default 20, at most "
+                              f"{MAX_GRID_POINTS})")
     p_sweep.add_argument("--out", metavar="FILE",
                          help="write the table here instead of stdout")
     _add_config_flags(p_sweep)
@@ -840,8 +882,8 @@ def _sweep_grid(args) -> list[float]:
         except ValueError as exc:
             raise ConfigError(f"bad --grid value: {exc}") from exc
     lo, hi, n = args.grid_lo, args.grid_hi, args.grid_points
-    if n < 1:
-        raise ConfigError(f"--grid-points must be >= 1, got {n}")
+    if not 1 <= n <= MAX_GRID_POINTS:
+        raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}], got {n}")
     if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
         raise ConfigError(
             f"log-spaced grid endpoints must be nonzero and share a sign, "

@@ -51,30 +51,48 @@ def shoe_log_lr(window: ImuWindow, noise: NoiseModel) -> LogLikelihoodRatio:
         If the window-mean accelerometer vector has zero norm. Callers
         scoring a stream may substitute the previous window's direction;
         :func:`shoe_log_lr_trace` does exactly that.
+
+    The value is :func:`shoe_log_lr_trace` over the window alone, so the
+    statistic has one formula.
     """
     accel = window.accel_matrix()
-    gyro = window.gyro_matrix()
-    mean = accel.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm <= DEGENERATE_NORM_TOL:
-        raise DegenerateWindowError(
-            f"window at index {window.start_index}: mean accelerometer norm is zero"
-        )
-    residual = accel - noise.gravity_mag * (mean / norm)
-    acc_term = float((residual**2).sum()) / noise.sigma_a**2
-    gyr_term = float((gyro**2).sum()) / noise.sigma_w**2
-    return LogLikelihoodRatio(-0.5 * (acc_term + gyr_term), window.start_index)
+    if np.linalg.norm(accel.mean(axis=0)) <= DEGENERATE_NORM_TOL:
+        raise _no_direction(window.start_index)
+    value = shoe_log_lr_trace(accel, window.gyro_matrix(), len(window), noise)[-1]
+    return LogLikelihoodRatio(float(value), window.start_index)
 
 
 def are_log_lr(window: ImuWindow, noise: NoiseModel) -> LogLikelihoodRatio:
     """Angular-rate-energy detector statistic for one window.
 
     log L = -1/2 * sum_k ||w_k||^2 / sigma_w^2. Equals the gyro term of
-    :func:`shoe_log_lr` on the same window.
+    :func:`shoe_log_lr` on the same window. The value is
+    :func:`are_log_lr_trace` over the window alone.
     """
-    gyro = window.gyro_matrix()
-    gyr_term = float((gyro**2).sum()) / noise.sigma_w**2
-    return LogLikelihoodRatio(-0.5 * gyr_term, window.start_index)
+    value = are_log_lr_trace(
+        window.accel_matrix(), window.gyro_matrix(), len(window), noise
+    )[-1]
+    return LogLikelihoodRatio(float(value), window.start_index)
+
+
+def _no_direction(start: int) -> DegenerateWindowError:
+    return DegenerateWindowError(
+        f"window at index {start}: mean accelerometer norm is zero"
+    )
+
+
+def check_gravity_direction(accel: np.ndarray, starts: np.ndarray, n: int) -> None:
+    """Raise as :func:`shoe_log_lr` would for the first of the windows
+    starting at ``starts`` whose mean accelerometer vector has zero norm.
+
+    :func:`shoe_log_lr_trace` carries a direction across such windows, so
+    code that reads scores from a trace checks here the windows that must
+    have a direction of their own.
+    """
+    means = sliding_window_view(accel, n, axis=0)[starts].mean(axis=2)
+    bad = np.flatnonzero(np.linalg.norm(means, axis=1) <= DEGENERATE_NORM_TOL)
+    if bad.size:
+        raise _no_direction(int(starts[bad[0]]))
 
 
 def _window_views(accel, gyro, n):

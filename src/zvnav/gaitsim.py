@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ImuSample, ImuWindow, NoiseModel, Recording, stream_to_arrays
+from .core import NoiseModel, Recording, stream_to_arrays
 from .errors import CalibrationDataError, ConfigError
 from .ins import NavState, ProcessNoise, _filter_lanes, default_initial_covariance
 from .quat import quat_conj, quat_mul, rotmat_from_quat
@@ -163,13 +162,6 @@ class LabeledRecording:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @cached_property
-    def stream(self) -> tuple[ImuSample, ...]:
-        return tuple(
-            ImuSample(float(ti), a, g)
-            for ti, a, g in zip(self.t, self.accel, self.gyro)
-        )
 
     @property
     def path_length_m(self) -> float:
@@ -385,9 +377,13 @@ def simulate(
 
 
 class CalibrationSets(NamedTuple):
-    stationary: list[ImuWindow]
-    midstance: list[ImuWindow]
-    swing: list[ImuWindow]
+    """Start indices of the calibration windows, ascending within each set,
+    plus the reference swing speed evidence. The window starting at s covers
+    samples s .. s+n-1, so a detector trace scores it at ``trace[s + n - 1]``."""
+
+    stationary: np.ndarray
+    midstance: np.ndarray
+    swing: np.ndarray
     xi_star: float
 
 
@@ -421,10 +417,16 @@ def _reference_xi_median(rec, noise: NoiseModel, pn: ProcessNoise, swing_mask) -
     not depend on any threshold choice. The pass starts at rest with the
     identity attitude and takes its first decision at sample 1.
     """
+    swing_mask = np.asarray(swing_mask, dtype=bool)
+    if not swing_mask.any():
+        raise CalibrationDataError("no usable swing samples for the speed evidence")
+    # the pass is causal, so samples after the last swing sample cannot change xi
+    end = int(np.flatnonzero(swing_mask)[-1]) + 1
     t, accel, gyro = stream_to_arrays(rec)
     out = _filter_lanes(
-        t, accel, gyro, NavState.identity(), default_initial_covariance(), noise, pn, 1,
-        zupts=rec.stationary, xi_mask=swing_mask,
+        t[:end], accel[:end], gyro[:end], NavState.identity(),
+        default_initial_covariance(), noise, pn, 1,
+        zupts=np.asarray(rec.stationary)[:end], xi_mask=swing_mask[:end],
     )
     if not out.xi:
         raise CalibrationDataError("no usable swing samples for the speed evidence")
@@ -442,9 +444,10 @@ def extract_calibration_sets(
 
     Standstill windows (perfectly at rest) feed the stationary set; the
     centered window of each stance interval feeds the midstance set (one
-    per step); windows fully inside swing feed the swing set. Any empty
-    set raises. ``rec`` needs t/accel/gyro arrays and stationary labels;
-    explicit phase codes are used when available.
+    per step); windows fully inside swing feed the swing set. Each set is
+    an array of window start indices; any empty set raises. ``rec`` needs
+    t/accel/gyro arrays and stationary labels; explicit phase codes are
+    used when available.
     """
     if n_window < 1:
         raise ValueError(f"window length must be >= 1, got {n_window}")
@@ -452,41 +455,34 @@ def extract_calibration_sets(
         raise CalibrationDataError("recording carries no stationary labels")
     labels = np.asarray(rec.stationary, dtype=bool)
     phase = _phase_array(rec)
-    t = np.asarray(rec.t, dtype=float)
-    accel = np.asarray(rec.accel, dtype=float)
-    gyro = np.asarray(rec.gyro, dtype=float)
-    samples = tuple(
-        ImuSample(float(ti), a, g) for ti, a, g in zip(t, accel, gyro)
-    )
 
-    def windows_inside(mask, one_per_run=False):
-        out = []
+    def starts_inside(mask, one_per_run=False):
+        starts = []
         for s, e in _bool_runs(mask):
             if e - s < n_window:
                 continue
             if one_per_run:
-                starts = [s + (e - s - n_window) // 2]
+                starts.append(s + (e - s - n_window) // 2)
             else:
-                starts = range(s, e - n_window + 1)
-            for st in starts:
-                out.append(ImuWindow(samples[st : st + n_window], st))
-        return out
+                starts.extend(range(s, e - n_window + 1))
+        return np.array(starts, dtype=np.intp)
 
-    stationary_w = windows_inside((phase == PHASE_STANDSTILL) & labels)
-    midstance_w = windows_inside((phase == PHASE_STANCE) & labels, one_per_run=True)
+    stationary = starts_inside((phase == PHASE_STANDSTILL) & labels)
+    midstance = starts_inside((phase == PHASE_STANCE) & labels, one_per_run=True)
     swing_mask = phase == PHASE_SWING
-    swing_w = windows_inside(swing_mask)
-    for name, ws in (
-        ("stationary", stationary_w),
-        ("midstance", midstance_w),
-        ("swing", swing_w),
+    swing = starts_inside(swing_mask)
+    for name, starts in (
+        ("stationary", stationary),
+        ("midstance", midstance),
+        ("swing", swing),
     ):
-        if not ws:
+        if not starts.size:
             raise CalibrationDataError(f"{name} calibration set is empty")
     if pn is None:
+        t = np.asarray(rec.t, dtype=float)
         pn = ProcessNoise.from_sample_noise(noise, 1.0 / float(np.median(np.diff(t))))
     xi_star = _reference_xi_median(rec, noise, pn, swing_mask)
-    return CalibrationSets(stationary_w, midstance_w, swing_w, xi_star)
+    return CalibrationSets(stationary, midstance, swing, xi_star)
 
 
 def make_corpus(

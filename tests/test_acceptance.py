@@ -60,9 +60,10 @@ def calibration():
     lab = simulate(normal_profile(NM, seed=CALIBRATION_SEED), 30.0)
     rec = lab.to_recording(f"calibration-{CALIBRATION_SEED}", "normal")
     sets = extract_calibration_sets(rec, WINDOW, noise=NM)
-    stat = [shoe_log_lr(w, NM).value for w in sets.stationary]
-    mid = [shoe_log_lr(w, NM).value for w in sets.midstance]
-    swing = [shoe_log_lr(w, NM).value for w in sets.swing]
+    logl = shoe_log_lr_trace(rec.accel, rec.gyro, WINDOW, NM)
+    stat, mid, swing = (
+        logl[starts + WINDOW - 1] for starts in (sets.stationary, sets.midstance, sets.swing)
+    )
     params = calibrate(stat, mid, swing, None, dtau=DTAU, epsilon=EPSILON)
     return rec, stat, params
 

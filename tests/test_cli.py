@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from zvnav.cli import (
     CsvFormat,
+    MAX_GRID_POINTS,
     STANDARD_GRAVITY,
     attach_labels,
     cmd_calibrate,
@@ -41,9 +43,10 @@ from zvnav.config import (
     merge_config,
     parse_config_text,
 )
-from zvnav.core import NoiseModel, Recording
+from zvnav.core import ImuWindow, NoiseModel, Recording
+from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError, InputFormatError, NumericalError
-from zvnav.gaitsim import normal_profile, simulate
+from zvnav.gaitsim import extract_calibration_sets, normal_profile, simulate
 
 NM = NoiseModel(sigma_a=0.2, sigma_w=0.02)
 
@@ -228,6 +231,58 @@ def test_arbitrary_text_parses_or_raises_input_error(parse, input_file, text):
         parse(str(input_file))
     except InputFormatError:
         pass
+
+
+_BAD_FIELDS = ("", " ", "x", "nan", "-inf", "1e999", "0x1p3", "1_0", " 2 ", "1.0", "00",
+               "+1", "\u00a01", "1\x1c")
+
+
+@st.composite
+def _csv_text(draw, width):
+    """A table of `width` columns: increasing times, finite values, and now
+    and then a bad field, a wrong field count, a blank or a repeated row."""
+    n = draw(st.integers(0, 6))
+    values = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = []
+    for r in range(n):
+        fields = [repr(0.004 * r)]
+        if width == 2:
+            fields.append(draw(st.sampled_from(["0", "1"])))
+        else:
+            fields += [draw(values) for _ in range(width - 1)]
+        if draw(st.integers(0, 4)) == 0:
+            fields[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_BAD_FIELDS))
+        rows.append(",".join(fields))
+    if rows and draw(st.integers(0, 5)) == 0:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(i, draw(st.sampled_from(["", rows[i], rows[i] + ",0", "0"])))
+    header = "t,ax,ay,az,gx,gy,gz" if width == 7 else "t,stationary"
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _ingest_outcome(parse, path):
+    """The arrays a parse returns, as bytes, or the message it raises."""
+    try:
+        out = parse(path)
+    except InputFormatError as exc:
+        return str(exc)
+    if isinstance(out, Recording):
+        out = (out.t, out.accel, out.gyro)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in out]
+
+
+@pytest.mark.parametrize("parse, width", [(ingest_csv, 7), (ingest_labels, 2)])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fast_ingest_matches_row_by_row(parse, width, input_file, data):
+    """The streaming parse returns the arrays of the row-by-row parser bit
+    for bit, or the same row-numbered error."""
+    text = data.draw(st.one_of(_csv_text(width), _ARBITRARY_TEXT))
+    input_file.write_text(text, encoding="utf-8")
+    fast = _ingest_outcome(parse, str(input_file))
+    with mock.patch("zvnav.cli._fast_rows", return_value=None):
+        slow = _ingest_outcome(parse, str(input_file))
+    assert fast == slow
 
 
 @pytest.fixture(scope="module")
@@ -444,6 +499,36 @@ class TestRunAndReport:
         first_full = lines[cfg["window_samples"]].split("\t")
         assert first_full[1] != "nan"
 
+    def test_writers_match_per_element_formatting(self, walk_rec, tmp_path):
+        """The one-pass writers give the bytes of the per-element repr
+        formatting they replaced, NaN warm-up rows and signed zeros included."""
+        def fmt(x):
+            return repr(float(x))
+
+        rec = dataclasses.replace(walk_rec, accel=walk_rec.accel.copy())
+        rec.accel[len(rec) // 2] = [-0.0, 5e-324, 12.5]
+        report = cmd_run(rec, default_config())
+        expected = ["t\tlogl\tlog_gamma\tdecision\tpx\tpy\tpz"]
+        for k in range(len(rec)):
+            expected.append("\t".join([
+                fmt(rec.t[k]), fmt(report.logl_trace[k]), fmt(report.log_gamma_trace[k]),
+                str(int(report.decisions[k])), *(fmt(x) for x in report.trajectory[k]),
+            ]))
+        trace = format_trace(report, rec.t)
+        assert trace == "\n".join(expected) + "\n"
+        assert trace.splitlines()[1].split("\t")[1:3] == ["nan", "nan"]
+
+        write_recording_csv(str(tmp_path / "r.csv"), rec)
+        expected = ["t,ax,ay,az,gx,gy,gz"]
+        for i in range(len(rec)):
+            expected.append(",".join(fmt(x) for x in [rec.t[i], *rec.accel[i], *rec.gyro[i]]))
+        assert (tmp_path / "r.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
+        write_labels_csv(str(tmp_path / "l.csv"), rec.t, rec.stationary)
+        expected = ["t,stationary"]
+        expected += [f"{fmt(ti)},{1 if si else 0}" for ti, si in zip(rec.t, rec.stationary)]
+        assert (tmp_path / "l.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+
     def test_bad_window_rejected(self, still_rec):
         with pytest.raises(ConfigError, match="window_samples"):
             cmd_run(still_rec, merge_config({"window_samples": 0}))
@@ -481,6 +566,12 @@ class TestSweep:
         assert _rmse([0.0, 0.0, 0.0]) == 0.0
         assert _rmse([3.0, 4.0]) == pytest.approx(math.sqrt(12.5))
         assert math.isnan(_rmse([]))
+
+    def test_grid_points_above_maximum_exit_3(self, walk_files, capsys):
+        csv, _ = walk_files
+        for n in (MAX_GRID_POINTS + 1, 10**9):
+            assert main(["sweep", str(csv), "--grid-points", str(n)]) == 3
+            assert f"--grid-points must lie in [1, {MAX_GRID_POINTS}]" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, walk_rec):
         with pytest.raises(ConfigError, match="non-empty"):
@@ -555,6 +646,44 @@ class TestCalibrate:
         assert cfg["threshold_mode"] == "adaptive"
         report = cmd_run(walk_rec, cfg)
         assert report.loop_closure_error_m < 0.01 * walk_rec.loop_length_m
+
+    def test_trace_scores_match_per_window_on_acceptance_walk(self):
+        """Every calibration window scored from the detector trace equals its
+        per-window SHOE statistic, and the fit keeps the coefficients that
+        per-window scoring gave on the seed-777 walk."""
+        lab = simulate(normal_profile(NM, seed=777), 30.0)
+        rec = lab.to_recording("walk-777", "normal")
+        n = 5
+        sets = extract_calibration_sets(rec, n, noise=NM)
+        trace = shoe_log_lr_trace(rec.accel, rec.gyro, n, NM)
+        samples = rec.samples()
+        starts = np.concatenate([sets.stationary, sets.midstance, sets.swing])
+        assert len(starts) > 3000
+        for s in starts.tolist():
+            expected = shoe_log_lr(ImuWindow(tuple(samples[s : s + n]), s), NM).value
+            assert trace[s + n - 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
+        params = cmd_calibrate(rec, merge_config({"prior": "informative"}))
+        pinned = (-79.49285067236112, -1586.497541086487, -0.003617487866149121)
+        for got, want in zip((params.c1, params.c2, params.c3), pinned):
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_degenerate_window_in_swing_exits_4(self, walk_rec, walk_files, tmp_path,
+                                                capsys):
+        """A zero-accelerometer window inside swing has no gravity direction:
+        SHOE calibration fails on it, though the trace would carry the last
+        direction across it. ARE does not use the accelerometer."""
+        s = int(np.flatnonzero(~walk_rec.stationary[600:])[0]) + 610  # inside a swing
+        assert not walk_rec.stationary[s - 5 : s + 10].any()
+        rec = dataclasses.replace(walk_rec, accel=walk_rec.accel.copy())
+        rec.accel[s : s + 5] = 0.0
+        csv = tmp_path / "degenerate.csv"
+        write_recording_csv(str(csv), rec)
+        _, labels = walk_files
+        args = ["calibrate", str(csv), "--labels", str(labels)]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert f"window at index {s}: mean accelerometer norm is zero" in err
+        assert main(args + ["--detector", "are"]) == 0
 
 
 class TestMainEntry:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zvnav.core import NoiseModel
+from zvnav.core import NoiseModel, arrays_to_stream
 from zvnav.errors import CalibrationDataError, ConfigError
 from zvnav.gaitsim import (
     PHASE_STANCE,
@@ -18,7 +18,7 @@ from zvnav.gaitsim import (
     normal_profile,
     simulate,
 )
-from zvnav.detectors import shoe_log_lr
+from zvnav.detectors import shoe_log_lr_trace
 from zvnav.ins import NavState, ProcessNoise, default_initial_covariance, propagate
 
 
@@ -139,10 +139,11 @@ class TestRoundTrip:
         state = NavState.identity()
         cov = default_initial_covariance()
         pn = ProcessNoise.from_sample_noise(NM, 250.0)
+        samples = arrays_to_stream(rec.t, rec.accel, rec.gyro)
         worst = 0.0
         for k in range(1, len(rec)):
             dt = rec.t[k] - rec.t[k - 1]
-            state, cov = propagate(state, cov, rec.stream[k - 1], dt, NM, pn)
+            state, cov = propagate(state, cov, samples[k - 1], dt, NM, pn)
             err = np.linalg.norm(state.p - rec.true_positions[k])
             worst = max(worst, err)
         assert worst < 1e-3
@@ -200,9 +201,10 @@ class TestCalibrationSets:
     def test_sets_are_nonempty_and_ordered_by_loglr(self):
         rec = simulate(normal_profile(seed=22), duration=30.0)
         sets = extract_calibration_sets(rec, 5, noise=NM)
+        logl = shoe_log_lr_trace(rec.accel, rec.gyro, 5, NM)
         med = {
-            name: np.median([shoe_log_lr(w, NM).value for w in ws])
-            for name, ws in (
+            name: np.median(logl[starts + 4])
+            for name, starts in (
                 ("stationary", sets.stationary),
                 ("midstance", sets.midstance),
                 ("swing", sets.swing),
@@ -214,10 +216,14 @@ class TestCalibrationSets:
     def test_windows_respect_their_labels(self):
         rec = simulate(fast_profile(seed=23), duration=30.0)
         sets = extract_calibration_sets(rec, 5, noise=NM)
-        for w in sets.stationary + sets.midstance:
-            assert rec.stationary[w.start_index : w.end_index + 1].all()
-        for w in sets.swing:
-            assert not rec.stationary[w.start_index : w.end_index + 1].any()
+        for starts in (sets.stationary, sets.midstance, sets.swing):
+            assert starts.dtype.kind == "i"
+            assert (np.diff(starts) > 0).all()  # ascending, no duplicates
+        for s in np.concatenate([sets.stationary, sets.midstance]):
+            assert rec.stationary[s : s + 5].all()
+        for s in sets.swing:
+            assert not rec.stationary[s : s + 5].any()
+            assert (rec.phase[s : s + 5] == PHASE_SWING).all()
 
     def test_all_stationary_recording_rejected(self):
         rec = simulate(standstill_profile(), duration=10.0)
