@@ -5,7 +5,6 @@ from .core import (
     ImuWindow,
     NoiseModel,
     Recording,
-    sliding_windows,
     validate_stream,
 )
 from .detectors import LogLikelihoodRatio, are_log_lr, shoe_log_lr
@@ -30,12 +29,10 @@ from .ins import (
     zupt_update,
 )
 from .threshold import (
-    Hypothesis,
     LossParams,
     PriorParams,
     ThresholdParams,
     calibrate,
-    decide,
     hypothesis_prior,
     log_threshold,
     loss_factor,
@@ -48,19 +45,16 @@ __all__ = [
     "ImuWindow",
     "NoiseModel",
     "Recording",
-    "sliding_windows",
     "validate_stream",
     "LogLikelihoodRatio",
     "shoe_log_lr",
     "are_log_lr",
-    "Hypothesis",
     "LossParams",
     "PriorParams",
     "ThresholdParams",
     "loss_factor",
     "hypothesis_prior",
     "log_threshold",
-    "decide",
     "calibrate",
     "NavState",
     "NavCovariance",

@@ -35,7 +35,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import default_config, format_config, load_config, merge_config
+from .config import SCHEMA, default_config, format_config, load_config, merge_config
 from .core import PERIOD_REL_TOL, NoiseModel, Recording
 from .detectors import check_gravity_direction, get_detector
 from .errors import ConfigError, InputFormatError, NumericalError, StreamFormatError
@@ -655,12 +655,6 @@ def concat_recordings(recordings: Sequence[Recording]) -> Recording:
     )
 
 
-def cmd_concat(recordings: Sequence[Recording], cfg: dict[str, Any]) -> RunReport:
-    """Run the pipeline once over joined recordings; the report's
-    loop_closure_error_m is the end-to-start position error magnitude."""
-    return cmd_run(concat_recordings(recordings), cfg)
-
-
 def cmd_calibrate(rec: Recording, cfg: dict[str, Any]) -> ThresholdParams:
     """Fit threshold coefficients from one labeled recording.
 
@@ -743,26 +737,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="key=value config file")
     p.add_argument("--print-config", action="store_true",
                    help="echo the effective configuration and exit")
-    p.add_argument("--detector", choices=["shoe", "are"])
-    p.add_argument("--window-samples", type=int, dest="window_samples")
-    p.add_argument("--sigma-a", type=float, dest="sigma_a")
-    p.add_argument("--sigma-w", type=float, dest="sigma_w")
-    p.add_argument("--gravity-mag", type=float, dest="gravity_mag")
-    p.add_argument("--sigma-zupt", type=float, dest="sigma_zupt")
-    p.add_argument("--accel-psd", type=float, dest="accel_psd")
-    p.add_argument("--gyro-psd", type=float, dest="gyro_psd")
-    p.add_argument("--threshold-mode", choices=["adaptive", "fixed"],
-                   dest="threshold_mode")
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--c3", type=float)
-    p.add_argument("--log-gamma", type=float, dest="log_gamma")
-    p.add_argument("--prior", choices=["informative", "uninformative"])
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--dtau", type=float)
-    p.add_argument("--gyro-unit", choices=["rad", "deg"], dest="gyro_unit")
-    p.add_argument("--accel-unit", choices=["ms2", "g"], dest="accel_unit")
-    p.add_argument("--seed", type=int)
+    for key, (kind, _) in SCHEMA.items():  # --key-with-dashes sets key
+        if kind.startswith("choice:"):
+            typed = {"choices": kind.split(":", 1)[1].split(",")}
+        else:
+            typed = {"type": int if kind == "int" else float}
+        p.add_argument("--" + key.replace("_", "-"), dest=key, **typed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -74,11 +73,6 @@ class ImuWindow:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def end_index(self) -> int:
-        """Stream index of the last (current) sample."""
-        return self.start_index + len(self.samples) - 1
-
     def accel_matrix(self) -> np.ndarray:
         """Stacked accelerometer samples, shape (N, 3)."""
         return np.array([s.accel for s in self.samples])
@@ -116,32 +110,6 @@ class NoiseModel:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
 
 
-def sliding_windows(stream: Sequence[ImuSample], n: int) -> list[ImuWindow]:
-    """Causal stride-1 windows over a sample stream.
-
-    Returns one window per start index 0 .. len(stream)-n; consecutive
-    windows overlap in all but one sample.
-
-    Raises
-    ------
-    StreamFormatError
-        If the stream is shorter than ``n`` or timestamps are not strictly
-        increasing.
-    """
-    if n < 1:
-        raise ValueError(f"window length must be >= 1, got {n}")
-    if len(stream) < n:
-        raise StreamFormatError(
-            f"stream of {len(stream)} samples is shorter than window length {n}"
-        )
-    times = [s.t for s in stream]
-    for i, (a, b) in enumerate(zip(times, times[1:])):
-        if b <= a:
-            raise StreamFormatError("timestamps must be strictly increasing", index=i + 1)
-    samples = tuple(stream)
-    return [ImuWindow(samples[i : i + n], i) for i in range(len(samples) - n + 1)]
-
-
 @dataclass(frozen=True)
 class StreamDiagnostics:
     """Result of :func:`validate_stream`."""
@@ -165,10 +133,9 @@ PERIOD_REL_TOL = 0.1
 def validate_stream(stream, rel_tol: float = PERIOD_REL_TOL) -> StreamDiagnostics:
     """Check monotone time, finite values, and near-uniform sampling.
 
-    Accepts a sequence of :class:`ImuSample`, a ``(t, accel, gyro)`` array
-    triple, or any object with ``t``/``accel``/``gyro`` attributes. The
-    sampling period is compared against the median period; deviations
-    beyond ``rel_tol`` (relative) are flagged.
+    Accepts what :func:`stream_to_arrays` accepts. The sampling period is
+    compared against the median period; deviations beyond ``rel_tol``
+    (relative) are flagged.
     """
     t, accel, gyro = stream_to_arrays(stream)
     n = len(t)
@@ -212,51 +179,16 @@ def validate_stream(stream, rel_tol: float = PERIOD_REL_TOL) -> StreamDiagnostic
     return StreamDiagnostics(True, n, median, max_dev, None, "ok")
 
 
-def window_samples_from_ms(window_ms: float, median_period_s: float) -> int:
-    """Convert a window length in milliseconds to a sample count.
-
-    Uses the stream's median period; 20 ms at 250 Hz gives 5 samples.
-    """
-    if window_ms <= 0 or median_period_s <= 0:
-        raise ValueError("window_ms and median_period_s must be positive")
-    return max(1, round(window_ms / 1000.0 / median_period_s))
-
-
 def stream_to_arrays(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Normalize a stream to ``(t, accel, gyro)`` float arrays.
 
-    Accepts a sequence of :class:`ImuSample`, an existing array triple, or
-    an object exposing ``t``/``accel``/``gyro`` attributes (e.g. Recording).
+    Accepts an array triple or an object exposing ``t``/``accel``/``gyro``
+    attributes (e.g. Recording).
     """
-    if hasattr(stream, "t") and hasattr(stream, "accel"):
-        return (
-            np.asarray(stream.t, dtype=float),
-            np.asarray(stream.accel, dtype=float),
-            np.asarray(stream.gyro, dtype=float),
-        )
-    if isinstance(stream, tuple) and len(stream) == 3:
-        t, accel, gyro = stream
-        return (
-            np.asarray(t, dtype=float),
-            np.asarray(accel, dtype=float),
-            np.asarray(gyro, dtype=float),
-        )
-    t = np.array([s.t for s in stream], dtype=float)
-    if len(stream) == 0:
-        return t, np.empty((0, 3)), np.empty((0, 3))
-    accel = np.array([s.accel for s in stream], dtype=float)
-    gyro = np.array([s.gyro for s in stream], dtype=float)
+    if hasattr(stream, "t"):
+        stream = (stream.t, stream.accel, stream.gyro)
+    t, accel, gyro = (np.asarray(x, dtype=float) for x in stream)
     return t, accel, gyro
-
-
-def arrays_to_stream(t, accel, gyro) -> list[ImuSample]:
-    """Materialize per-sample objects from array data."""
-    t = np.asarray(t, dtype=float)
-    accel = np.asarray(accel, dtype=float)
-    gyro = np.asarray(gyro, dtype=float)
-    if not (len(t) == len(accel) == len(gyro)):
-        raise ValueError("t, accel, gyro must have equal lengths")
-    return [ImuSample(t[i], accel[i], gyro[i]) for i in range(len(t))]
 
 
 @dataclass
@@ -308,10 +240,6 @@ class Recording:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def samples(self) -> list[ImuSample]:
-        """The stream as per-sample objects (allocates)."""
-        return arrays_to_stream(self.t, self.accel, self.gyro)
 
     @property
     def duration(self) -> float:

@@ -30,9 +30,6 @@ class LogLikelihoodRatio:
     value: float
     window_index: int
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def shoe_log_lr(window: ImuWindow, noise: NoiseModel) -> LogLikelihoodRatio:
     """Stance-hypothesis detector statistic for one window.
@@ -107,6 +104,9 @@ def _window_views(accel, gyro, n):
     )
 
 
+# A huge finite sample overflows the sums of the windows that hold it; the
+# traces score those windows -inf (or NaN) without a warning: never stationary.
+@np.errstate(over="ignore", invalid="ignore")
 def shoe_log_lr_trace(
     accel: np.ndarray, gyro: np.ndarray, n: int, noise: NoiseModel
 ) -> np.ndarray:
@@ -142,6 +142,7 @@ def shoe_log_lr_trace(
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def are_log_lr_trace(
     accel: np.ndarray, gyro: np.ndarray, n: int, noise: NoiseModel
 ) -> np.ndarray:
@@ -170,7 +171,7 @@ DETECTORS: dict[str, DetectorSpec] = {
 
 
 def get_detector(detector) -> DetectorSpec:
-    """Resolve a detector by name, spec, or bare per-window callable."""
+    """Resolve a detector by name or spec."""
     if isinstance(detector, DetectorSpec):
         return detector
     if isinstance(detector, str):
@@ -180,31 +181,4 @@ def get_detector(detector) -> DetectorSpec:
             raise ValueError(
                 f"unknown detector {detector!r}; expected one of {sorted(DETECTORS)}"
             ) from None
-    if callable(detector):
-        return DetectorSpec(
-            getattr(detector, "__name__", "custom"),
-            detector,
-            _trace_from_window_fn(detector),
-        )
     raise TypeError(f"cannot interpret {detector!r} as a detector")
-
-
-def _trace_from_window_fn(window_fn):
-    """Lift a per-window detector to a stream trace (slow generic path)."""
-
-    def trace(accel, gyro, n, noise):
-        from .core import ImuSample  # local import to keep module load cheap
-
-        out = np.full(len(accel), np.nan)
-        if len(accel) < n:
-            return out
-        # timestamps are irrelevant to the statistic; synthesize a uniform axis
-        samples = tuple(
-            ImuSample(float(i), accel[i], gyro[i]) for i in range(len(accel))
-        )
-        for end in range(n - 1, len(samples)):
-            window = ImuWindow(samples[end - n + 1 : end + 1], end - n + 1)
-            out[end] = float(window_fn(window, noise))
-        return out
-
-    return trace

@@ -15,14 +15,14 @@ the adaptive threshold, and apply a zero-velocity update when the
 statistic crosses it. It steps an (R recordings x C configs) grid of
 lanes at once; recordings may differ in length, and a recording's lanes
 retire after its last sample. run_recordings is the general call (one
-per sweep), run_lanes its one-recording case, run_pipeline its one-lane
-case.
+per sweep), run_pipeline its one-recording, one-lane case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from .detectors import get_detector
 from .errors import NumericalError, StreamFormatError
 from .quat import quat_between, quat_conj, quat_from_rotvec, quat_mul, quat_normalize
 from .quat import skew
-from .threshold import ThresholdParams
+from .threshold import ThresholdParams, log_threshold
 
 _QUAT_NORM_TOL = 1e-6
 _E_Z = np.array([0.0, 0.0, 1.0])
@@ -262,25 +262,21 @@ def _xi(S, v, cond_bound):
     D = a * f - c * c
     E = b * c - a * e
     G = a * d - b * b
-    inv = (
-        (A / det, B / det, C / det),
-        (B / det, D / det, E / det),
-        (C / det, E / det, G / det),
-    )
+    # the inverse is symmetric: its six distinct entries
+    i00, i01, i02, i11, i12, i22 = A / det, B / det, C / det, D / det, E / det, G / det
     norm_s = max(
         abs(a) + abs(b) + abs(c), abs(b) + abs(d) + abs(e), abs(c) + abs(e) + abs(f)
     )
     norm_inv = max(
-        abs(inv[0][0]) + abs(inv[0][1]) + abs(inv[0][2]),
-        abs(inv[1][0]) + abs(inv[1][1]) + abs(inv[1][2]),
-        abs(inv[2][0]) + abs(inv[2][1]) + abs(inv[2][2]),
+        abs(i00) + abs(i01) + abs(i02), abs(i01) + abs(i11) + abs(i12),
+        abs(i02) + abs(i12) + abs(i22),
     )
     if norm_s * norm_inv > cond_bound:
         return None
     v0, v1, v2 = v
-    x0 = inv[0][0] * v0 + inv[0][1] * v1 + inv[0][2] * v2
-    x1 = inv[1][0] * v0 + inv[1][1] * v1 + inv[1][2] * v2
-    x2 = inv[2][0] * v0 + inv[2][1] * v1 + inv[2][2] * v2
+    x0 = i00 * v0 + i01 * v1 + i02 * v2
+    x1 = i01 * v0 + i11 * v1 + i12 * v2
+    x2 = i02 * v0 + i12 * v1 + i22 * v2
     value = v0 * x0 + v1 * x1 + v2 * x2
     if not math.isfinite(value):
         return None
@@ -310,12 +306,15 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     recording r under lanes[c] from (state0[r], cov0); n is the longest
     recording, and a recording's lanes retire after its last sample. From
     sample first_window on, a lane applies a zero-velocity update where
-    logl[k] exceeds its threshold c1 + c2 * (t_k - t_last) + c3 * xi, t_last
-    being its last update (t_0 before the first). xi comes from the
-    covariance before the update it gates, only where c3 != 0; a None xi
-    drops the c3 term. With supplied ``zupts`` (n,) in place of lanes and
-    logl, one lane on one recording applies an update where zupts[k] is set
-    and records xi on the samples in xi_mask.
+    logl[k] exceeds log_threshold(lanes[c], t_k - t_last, xi), t_last being
+    its last update (t_0 before the first). xi comes from the covariance
+    before the update it gates, only where c3 != 0; NaN (the uninformative
+    fallback) drops the c3 term. With supplied ``zupts`` (n,) in place of
+    lanes and logl, one lane on one recording applies an update where
+    zupts[k] is set and records xi on the samples in xi_mask.
+
+    A floating-point error in the loop (overflow, say, on a finite but huge
+    input) raises NumericalError naming the sample k at which it occurred.
     """
     if isinstance(state0, NavState):  # one recording
         t, accel, gyro, state0, pn, logl = [t], [accel], [gyro], [state0], [pn], [logl]
@@ -345,9 +344,11 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     C = len(lanes)
     if zupts is not None:  # the supplied decisions take the statistic's place
         logls, C = np.asarray(zupts, dtype=bool).reshape(n, 1, 1), 1
-    c1 = np.array([[lane.c1 for lane in lanes]])
-    c2 = np.array([[lane.c2 for lane in lanes]])
-    xi_lanes = [(c, lane.c3) for c, lane in enumerate(lanes) if lane.c3 != 0.0]
+    else:  # lane-stacked coefficients, each of shape (1, C)
+        c1, c2, c3 = np.array([(lane.c1, lane.c2, lane.c3) for lane in lanes]).T[:, None]
+        coef = SimpleNamespace(c1=c1, c2=c2, c3=c3)
+    xi_lanes = [c for c, lane in enumerate(lanes) if lane.c3 != 0.0]
+    xi_buf = np.full((R, C), np.nan)  # NaN: no speed evidence
 
     p, v, q = (np.repeat(np.array([getattr(state0[r], x) for r in order])[:, None], C, 1)
                for x in "pvq")
@@ -361,43 +362,49 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     t_last = np.repeat(ts[0], C, 1)
     xis = []
     active = R
-    for k in range(n):
-        while ends[active - 1] == k:  # the last active recording has ended
-            active -= 1
-            q_end[active], P_end[active] = q[active], P[active]
-            traj[k:, active] = np.nan
-            p, v, q, P, t_last, q_rate = (
-                x[:active] for x in (p, v, q, P, t_last, q_rate))
-            ts, dts, accels, dqs, logls, traj, dec, lgam = (
-                x[:, :active] for x in (ts, dts, accels, dqs, logls, traj, dec, lgam))
-        if k:
-            p, v, q, P = _propagate(p, v, q, P, accels[k], dqs[k], dts[k], g_vec, q_rate)
-        if k >= first_window:
-            if zupts is None:
-                lg = c1 + c2 * (ts[k] - t_last)
-                for c, c3 in xi_lanes:
-                    for r in range(active):
-                        ev = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist(), XI_COND_BOUND)
-                        if ev is not None:
-                            lg[r, c] += c3 * ev
-                lgam[k] = lg
-                fire = logls[k] > lg  # NaN never passes
-            else:
-                if xi_mask[k]:
-                    ev = _xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(), XI_COND_BOUND)
-                    if ev is not None:
-                        xis.append(ev)
-                fire = logls[k]
-            fired = np.count_nonzero(fire)
-            if fired:
-                if fired == fire.size:  # no gather when every lane fires
-                    p, v, q, P = _zupt(p, v, q, P, r_var)
-                else:
-                    p[fire], v[fire], q[fire], P[fire] = _zupt(
-                        p[fire], v[fire], q[fire], P[fire], r_var)
-                dec[k] = fire
-                np.copyto(t_last, ts[k], where=fire)
-        traj[k] = p
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            for k in range(n):
+                while ends[active - 1] == k:  # the last active recording has ended
+                    active -= 1
+                    q_end[active], P_end[active] = q[active], P[active]
+                    traj[k:, active] = np.nan
+                    p, v, q, P, t_last, q_rate, xi_buf = (
+                        x[:active] for x in (p, v, q, P, t_last, q_rate, xi_buf))
+                    ts, dts, accels, dqs, logls, traj, dec, lgam = (
+                        x[:, :active] for x in (ts, dts, accels, dqs, logls, traj, dec, lgam))
+                if k:
+                    p, v, q, P = _propagate(p, v, q, P, accels[k], dqs[k], dts[k], g_vec,
+                                            q_rate)
+                if k >= first_window:
+                    if zupts is None:
+                        for c in xi_lanes:
+                            for r in range(active):
+                                ev = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist(),
+                                         XI_COND_BOUND)
+                                xi_buf[r, c] = math.nan if ev is None else ev
+                        lg = log_threshold(coef, ts[k] - t_last, xi_buf if xi_lanes else None)
+                        lgam[k] = lg
+                        fire = logls[k] > lg  # NaN never passes
+                    else:
+                        if xi_mask[k]:
+                            ev = _xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(),
+                                     XI_COND_BOUND)
+                            if ev is not None:
+                                xis.append(ev)
+                        fire = logls[k]
+                    fired = np.count_nonzero(fire)
+                    if fired:
+                        if fired == fire.size:  # no gather when every lane fires
+                            p, v, q, P = _zupt(p, v, q, P, r_var)
+                        else:
+                            p[fire], v[fire], q[fire], P[fire] = _zupt(
+                                p[fire], v[fire], q[fire], P[fire], r_var)
+                        dec[k] = fire
+                        np.copyto(t_last, ts[k], where=fire)
+                traj[k] = p
+        except (FloatingPointError, NumericalError) as exc:
+            raise NumericalError(f"filter failed at sample {k}: {exc}") from exc
     q_end[:active], P_end[:active] = q, P
     ends_at = np.array(ends) - 1
     if not (np.isfinite(trajectory[ends_at, np.arange(R)]).all() and np.isfinite(P_end).all()):
@@ -476,8 +483,19 @@ def run_recordings(
     cov0 = default_initial_covariance() if init is None or isinstance(init, NavState) \
         else init[1]
 
-    out = _filter_lanes(ts, accels, gyros, states, cov0, noise, pns, window_samples - 1,
-                        lanes=lanes, logl=logls)
+    try:
+        out = _filter_lanes(ts, accels, gyros, states, cov0, noise, pns, window_samples - 1,
+                            lanes=lanes, logl=logls)
+    except NumericalError as exc:
+        if len(ts) == 1:
+            raise NumericalError(f"recording {recording_ids[0]}: {exc}") from exc
+        for r, rec_id in enumerate(recording_ids):  # the first that fails on its own
+            try:
+                _filter_lanes(ts[r], accels[r], gyros[r], states[r], cov0, noise, pns[r],
+                              window_samples - 1, lanes=lanes, logl=logls[r])
+            except NumericalError as own:
+                raise NumericalError(f"recording {rec_id}: {own}") from exc
+        raise
     reports = []
     for r, (t, logl, rate, rec_id) in enumerate(zip(ts, logls, pns, recording_ids)):
         shared = {
@@ -509,20 +527,13 @@ def run_recordings(
     return reports
 
 
-def run_lanes(stream, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
-              init=None, *, window_samples: int = 5, recording_id: str = "",
-              ) -> list[RunReport]:
-    """run_recordings with the one stream ``stream``: one report per lane."""
-    (reports,) = run_recordings([stream], detector, lanes, noise, pn, init,
-                                window_samples=window_samples,
-                                recording_ids=[recording_id])
-    return reports
-
-
 def run_pipeline(stream, detector, threshold_params: ThresholdParams, noise: NoiseModel,
-                 pn: ProcessNoise | None = None, init=None, **kwargs) -> RunReport:
+                 pn: ProcessNoise | None = None, init=None, *, window_samples: int = 5,
+                 recording_id: str = "") -> RunReport:
     """Run detector + filter over one stream and report traces and drift:
-    run_lanes with the one lane ``threshold_params`` (same keywords)."""
-    (report,) = run_lanes(stream, detector, [threshold_params], noise, pn, init,
-                          **kwargs)
+    run_recordings with the one stream ``stream`` and the one lane
+    ``threshold_params``; ``recording_id`` names it."""
+    ((report,),) = run_recordings([stream], detector, [threshold_params], noise, pn, init,
+                                  window_samples=window_samples,
+                                  recording_ids=[recording_id])
     return report

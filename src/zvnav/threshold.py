@@ -19,7 +19,6 @@ it harder while the filter believes the platform is moving.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 import warnings
@@ -34,13 +33,6 @@ _PRIOR_MIN = sys.float_info.min
 _PRIOR_MAX = math.nextafter(1.0, 0.0)
 
 PRIOR_MODES = ("informative", "uninformative")
-
-
-class Hypothesis(enum.IntEnum):
-    """Detector outcome: MOVING keeps integrating, STATIONARY fires a ZUPT."""
-
-    MOVING = 0
-    STATIONARY = 1
 
 
 @dataclass(frozen=True)
@@ -107,7 +99,7 @@ class ThresholdParams:
             warnings.warn(
                 "c2 > 0: threshold rises with time since the last update, so "
                 "long gaps become harder to close; check the calibration data",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -162,21 +154,21 @@ def params_from_bayes(loss: LossParams, prior: PriorParams) -> ThresholdParams:
     )
 
 
-def log_threshold(params: ThresholdParams, dt: float, xi: float | None) -> float:
-    """Direct route. ``xi=None`` means no speed evidence; the c3 term is dropped."""
-    if dt < 0.0:
+def log_threshold(params, dt, xi):
+    """Direct route, elementwise: ``params.c1``/``c2``/``c3``, ``dt`` and
+    ``xi`` may be scalars or broadcastable arrays (one entry per lane).
+
+    ``xi=None`` means no speed evidence and drops the c3 term; so does a NaN
+    entry of an array ``xi``, which leaves c1 + c2 * dt bit for bit. The
+    detector fires where its statistic strictly exceeds this value: a tie
+    or a NaN statistic never fires.
+    """
+    if np.minimum.reduce(dt, axis=None) < 0.0:  # np.min without its wrapper
         raise ValueError(f"dt must be >= 0, got {dt}")
     value = params.c1 + params.c2 * dt
-    if xi is not None:
-        value += params.c3 * xi
-    return value
-
-
-def decide(log_lr: float, log_gamma: float) -> Hypothesis:
-    """Stationary iff the statistic strictly exceeds the threshold; tie -> moving."""
-    if math.isnan(log_lr) or math.isnan(log_gamma):
-        return Hypothesis.MOVING
-    return Hypothesis.STATIONARY if float(log_lr) > log_gamma else Hypothesis.MOVING
+    if xi is None:
+        return value
+    return np.where(np.isnan(xi), value, value + params.c3 * xi)[()]
 
 
 def interp_quantile(values, q: float) -> float:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,8 @@ from zvnav.cli import (
     MAX_GRID_POINTS,
     STANDARD_GRAVITY,
     attach_labels,
+    build_parser,
     cmd_calibrate,
-    cmd_concat,
     cmd_run,
     cmd_simulate,
     cmd_sweep,
@@ -37,6 +38,7 @@ from zvnav.cli import (
     _rmse,
 )
 from zvnav.config import (
+    SCHEMA,
     default_config,
     format_config,
     load_config,
@@ -47,6 +49,8 @@ from zvnav.core import ImuWindow, NoiseModel, Recording
 from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError, InputFormatError, NumericalError
 from zvnav.gaitsim import extract_calibration_sets, normal_profile, simulate
+
+from conftest import make_samples
 
 NM = NoiseModel(sigma_a=0.2, sigma_w=0.02)
 
@@ -436,6 +440,30 @@ class TestConfig:
         again = merge_config(parse_config_text(format_config(cfg)))
         assert again == cfg
 
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "simulate", "concat"])
+    def test_schema_keys_are_flags(self, command):
+        """Each SCHEMA key is the flag --key-with-dashes, parsed to dest key
+        with the key's type or choices; nothing else sets a config key."""
+        operands = {"run": ["x.csv"], "sweep": ["x.csv"], "calibrate": ["x.csv", "--labels",
+                    "y.csv"], "simulate": ["--out", "p"], "concat": ["x.csv"]}[command]
+        parser = build_parser()
+        defaults = vars(parser.parse_args([command] + operands))
+        assert all(defaults[key] is None for key in SCHEMA)
+        for key, (kind, _) in SCHEMA.items():
+            flag = "--" + key.replace("_", "-")
+            if kind.startswith("choice:"):
+                values = kind.split(":", 1)[1].split(",")
+                for value in values:
+                    assert getattr(parser.parse_args([command, *operands, flag, value]),
+                                   key) == value
+                with pytest.raises(SystemExit) as exc, \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    parser.parse_args([command, *operands, flag, "bogus"])
+                assert exc.value.code == 3
+            else:
+                parsed = getattr(parser.parse_args([command, *operands, flag, "7"]), key)
+                assert parsed == 7 and type(parsed) is (int if kind == "int" else float)
+
     def test_load_config_reads_file(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("sigma_a=0.5\n")
@@ -581,12 +609,12 @@ class TestSweep:
 class TestConcat:
     def test_concat_of_one_equals_run(self, walk_rec):
         cfg = default_config()
-        assert format_report(cmd_concat([walk_rec], cfg)) == format_report(
+        assert format_report(cmd_run(concat_recordings([walk_rec]), cfg)) == format_report(
             cmd_run(walk_rec, cfg)
         )
 
     def test_two_stationary_copies_stay_put(self, still_rec):
-        report = cmd_concat([still_rec, still_rec], default_config())
+        report = cmd_run(concat_recordings([still_rec, still_rec]), default_config())
         assert report.loop_closure_error_m < 0.1
         assert len(report.decisions) == 2 * len(still_rec)
 
@@ -616,7 +644,7 @@ class TestConcat:
 
     def test_empty_concat_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
-            cmd_concat([], default_config())
+            concat_recordings([])
 
 
 class TestCalibrate:
@@ -656,7 +684,7 @@ class TestCalibrate:
         n = 5
         sets = extract_calibration_sets(rec, n, noise=NM)
         trace = shoe_log_lr_trace(rec.accel, rec.gyro, n, NM)
-        samples = rec.samples()
+        samples = make_samples(rec.t, rec.accel, rec.gyro)
         starts = np.concatenate([sets.stationary, sets.midstance, sets.swing])
         assert len(starts) > 3000
         for s in starts.tolist():
@@ -725,6 +753,34 @@ class TestMainEntry:
         monkeypatch.setattr("zvnav.cli.cmd_run", boom)
         assert main(["run", str(csv)]) == 4
         assert "numerical error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{}, {"c1": -79.49285067236112,
+                                               "c2": -1586.497541086487,
+                                               "c3": -0.003617487866149121}])
+    def test_huge_finite_input_exits_4_naming_sample(self, walk_rec, tmp_path, capsys,
+                                                     config):
+        """A finite 1e300 in one accelerometer row passes ingest; the filter
+        overflows one step later. No warning escapes (warnings raise here), and
+        the error names the recording and the sample."""
+        bad = 1500  # sample index; data row 1501 of the CSV
+        rec = dataclasses.replace(walk_rec, accel=walk_rec.accel.copy())
+        rec.accel[bad, 0] = 1e300
+        csv = tmp_path / "huge.csv"
+        write_recording_csv(str(csv), rec)
+        for name in ("huge", "fine"):  # the sweep's loop lengths
+            write_meta(str(tmp_path / f"{name}.meta"), walk_rec)
+        args = [f"--{key}={value!r}" for key, value in config.items()]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(csv), *args]) == 4
+            err = capsys.readouterr().err
+            assert "numerical error: recording huge: filter failed at sample" in err
+            sample = int(err.split("at sample ")[1].split(":")[0])
+            assert abs(sample - (bad + 1)) <= 1
+            # in a sweep, the recording that fails on its own is the one named
+            write_recording_csv(str(tmp_path / "fine.csv"), walk_rec)
+            assert main(["sweep", str(tmp_path / "fine.csv"), str(csv), *args]) == 4
+            assert "recording huge: filter failed at sample" in capsys.readouterr().err
 
     def test_usage_error_exits_3(self, capsys):
         with pytest.raises(SystemExit) as exc:

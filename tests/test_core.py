@@ -3,26 +3,26 @@ import math
 import numpy as np
 import pytest
 
+import zvnav
 from zvnav.core import (
     ImuSample,
     ImuWindow,
     NoiseModel,
     Recording,
-    arrays_to_stream,
-    sliding_windows,
     stream_to_arrays,
     validate_stream,
-    window_samples_from_ms,
 )
+from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import StreamFormatError
+from zvnav.ins import run_pipeline
+from zvnav.threshold import ThresholdParams
 
-from conftest import make_samples, uniform_stream
+from conftest import make_samples, uniform_stream, window_of
 
 
 def _stream(n, fs=250.0, seed=0):
-    rng = np.random.default_rng(seed)
-    t, accel, gyro = uniform_stream(rng, n, fs)
-    return make_samples(t, accel, gyro)
+    """A (t, accel, gyro) array triple."""
+    return uniform_stream(np.random.default_rng(seed), n, fs)
 
 
 class TestImuSample:
@@ -50,14 +50,13 @@ class TestImuSample:
 
 class TestImuWindow:
     def test_matrices_shapes(self):
-        w = ImuWindow(tuple(_stream(5)), 0)
+        w = ImuWindow(tuple(make_samples(*_stream(5))), 0)
         assert w.accel_matrix().shape == (5, 3)
         assert w.gyro_matrix().shape == (5, 3)
         assert len(w) == 5
-        assert w.end_index == 4
 
     def test_requires_increasing_times(self):
-        s = _stream(3)
+        s = make_samples(*_stream(3))
         with pytest.raises(ValueError):
             ImuWindow((s[0], s[2], s[1]), 0)
 
@@ -87,53 +86,60 @@ class TestNoiseModel:
 
 
 class TestSlidingWindows:
-    def test_exact_fit_single_window(self):
-        stream = _stream(5)
-        windows = sliding_windows(stream, 5)
-        assert len(windows) == 1
-        assert windows[0].start_index == 0
-        assert len(windows[0]) == 5
+    """The causal stride-1 windows that a detector trace scores: entry k
+    covers samples k-n+1 .. k, so m samples give m-n+1 windows and the
+    first n-1 entries are NaN."""
 
-    def test_seven_samples_three_windows(self):
-        windows = sliding_windows(_stream(7), 5)
-        assert [w.start_index for w in windows] == [0, 1, 2]
+    def test_exact_fit_single_window(self, noise):
+        t, accel, gyro = _stream(5)
+        trace = shoe_log_lr_trace(accel, gyro, 5, noise)
+        assert np.isnan(trace[:4]).all()
+        assert trace[4] == shoe_log_lr(window_of(accel, gyro), noise).value
 
-    def test_thousand_samples_at_250hz(self):
-        stream = _stream(1000, fs=250.0)
-        windows = sliding_windows(stream, 5)
-        assert len(windows) == 996
-        for w in (windows[0], windows[-1]):
-            assert len(w) == 5
-            span = w.samples[-1].t - w.samples[0].t
-            assert span == pytest.approx(4 * 0.004, rel=1e-12)
+    def test_seven_samples_three_windows(self, noise):
+        t, accel, gyro = _stream(7)
+        trace = shoe_log_lr_trace(accel, gyro, 5, noise)
+        assert np.flatnonzero(np.isfinite(trace)).tolist() == [4, 5, 6]
 
-    def test_count_invariant(self):
-        for n in range(5, 30, 7):
-            stream = _stream(n)
-            assert len(sliding_windows(stream, 5)) == max(0, n - 5 + 1)
+    def test_thousand_samples_at_250hz(self, noise):
+        t, accel, gyro = _stream(1000, fs=250.0)
+        scored = np.flatnonzero(np.isfinite(shoe_log_lr_trace(accel, gyro, 5, noise)))
+        assert len(scored) == 996
+        for k in (scored[0], scored[-1]):
+            assert t[k] - t[k - 4] == pytest.approx(4 * 0.004, rel=1e-12)
 
-    def test_reconstruction_property(self):
-        # first sample of each window + tail of the last window = stream
-        stream = _stream(23)
-        windows = sliding_windows(stream, 5)
-        rebuilt = [w.samples[0] for w in windows] + list(windows[-1].samples[1:])
-        assert [s.t for s in rebuilt] == [s.t for s in stream]
+    def test_count_invariant(self, noise):
+        for n in range(1, 30, 7):
+            t, accel, gyro = _stream(n)
+            trace = shoe_log_lr_trace(accel, gyro, 5, noise)
+            assert np.isfinite(trace).sum() == max(0, n - 5 + 1)
 
-    def test_short_stream_raises(self):
-        with pytest.raises(StreamFormatError):
-            sliding_windows(_stream(4), 5)
-        with pytest.raises(StreamFormatError):
-            sliding_windows([], 5)
+    def test_reconstruction_property(self, noise):
+        # entry k is the statistic of the window of samples k-4 .. k alone
+        t, accel, gyro = _stream(23)
+        trace = shoe_log_lr_trace(accel, gyro, 5, noise)
+        for k in range(4, 23):
+            window = window_of(accel[k - 4 : k + 1], gyro[k - 4 : k + 1], k - 4)
+            assert trace[k] == pytest.approx(shoe_log_lr(window, noise).value, rel=1e-12)
 
-    def test_nonmonotone_raises(self):
-        s = _stream(6)
-        s[3], s[4] = s[4], s[3]
-        with pytest.raises(StreamFormatError):
-            sliding_windows(s, 5)
+    def test_short_stream_raises(self, noise):
+        t, accel, gyro = _stream(4)
+        assert np.isnan(shoe_log_lr_trace(accel, gyro, 5, noise)).all()
+        for n in (0, 1):  # and the filter needs two samples
+            with pytest.raises(StreamFormatError):
+                run_pipeline(_stream(n), "shoe", ThresholdParams(-10.0), noise)
 
-    def test_bad_window_length(self):
+    def test_nonmonotone_raises(self, noise):
+        t, accel, gyro = _stream(6)
+        t[[3, 4]] = t[[4, 3]]
+        with pytest.raises(StreamFormatError) as err:
+            run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-10.0), noise)
+        assert err.value.index == 4
+
+    def test_bad_window_length(self, noise):
+        t, accel, gyro = _stream(5)
         with pytest.raises(ValueError):
-            sliding_windows(_stream(5), 0)
+            shoe_log_lr_trace(accel, gyro, 0, noise)
 
 
 class TestValidateStream:
@@ -174,45 +180,40 @@ class TestValidateStream:
         assert diag.first_bad_index == 10
 
     def test_empty_stream(self):
-        diag = validate_stream([])
+        diag = validate_stream(_stream(0))
         assert not diag.ok
 
 
-def test_window_samples_from_ms():
-    assert window_samples_from_ms(20.0, 0.004) == 5
-    assert window_samples_from_ms(20.0, 0.01) == 2
-    with pytest.raises(ValueError):
-        window_samples_from_ms(0.0, 0.004)
-
-
 def test_stream_array_round_trip():
+    # an array triple, a Recording of it and nested lists give the same arrays
     stream = _stream(17)
-    t, accel, gyro = stream_to_arrays(stream)
-    back = arrays_to_stream(t, accel, gyro)
-    assert len(back) == len(stream)
-    assert all(
-        a.t == b.t
-        and np.array_equal(a.accel, b.accel)
-        and np.array_equal(a.gyro, b.gyro)
-        for a, b in zip(stream, back)
-    )
+    for form in (stream, Recording("r0", *stream), tuple(x.tolist() for x in stream)):
+        assert all(np.array_equal(a, b) for a, b in zip(stream_to_arrays(form), stream))
+    with pytest.raises(TypeError):  # per-sample objects are not a stream
+        stream_to_arrays(make_samples(*stream))
+
+
+def test_package_exports_resolve():
+    # every exported name exists, so no export outlives its definition
+    assert len(set(zvnav.__all__)) == len(zvnav.__all__)
+    for name in zvnav.__all__:
+        getattr(zvnav, name)
 
 
 class TestRecording:
     def test_basic(self):
-        t, accel, gyro = stream_to_arrays(_stream(10))
+        t, accel, gyro = _stream(10)
         rec = Recording("r0", t, accel, gyro, gait_tag="normal", loop_length_m=84.0)
         assert len(rec) == 10
         assert rec.duration == pytest.approx(t[-1] - t[0])
-        assert len(rec.samples()) == 10
 
     def test_rejects_mismatched_labels(self):
-        t, accel, gyro = stream_to_arrays(_stream(10))
+        t, accel, gyro = _stream(10)
         with pytest.raises(ValueError):
             Recording("r0", t, accel, gyro, stationary=np.zeros(9, dtype=bool))
 
     def test_rejects_nonmonotone_time(self):
-        t, accel, gyro = stream_to_arrays(_stream(10))
+        t, accel, gyro = _stream(10)
         t[5] = t[4]
         with pytest.raises(ValueError):
             Recording("r0", t, accel, gyro)

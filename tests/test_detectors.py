@@ -205,11 +205,9 @@ class TestRegistry:
         with pytest.raises(ValueError):
             get_detector("magnitude")
 
-    def test_custom_callable_lifted(self, noise):
-        spec = get_detector(shoe_log_lr)
-        rng = np.random.default_rng(9)
-        accel = rng.normal([0, 0, 9.81], 0.5, (8, 3))
-        gyro = rng.normal(0, 0.1, (8, 3))
-        generic = spec.trace(accel, gyro, 5, noise)
-        fast = shoe_log_lr_trace(accel, gyro, 5, noise)
-        np.testing.assert_allclose(generic[4:], fast[4:], rtol=1e-12)
+    def test_bare_callable_rejected(self):
+        # a detector is a registered name or a DetectorSpec with both forms
+        spec = get_detector("shoe")
+        assert get_detector(spec) is spec
+        with pytest.raises(TypeError):
+            get_detector(shoe_log_lr)

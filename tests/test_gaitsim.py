@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zvnav.core import NoiseModel, arrays_to_stream
+from zvnav.core import ImuSample, NoiseModel
 from zvnav.errors import CalibrationDataError, ConfigError
 from zvnav.gaitsim import (
     PHASE_STANCE,
@@ -139,11 +139,11 @@ class TestRoundTrip:
         state = NavState.identity()
         cov = default_initial_covariance()
         pn = ProcessNoise.from_sample_noise(NM, 250.0)
-        samples = arrays_to_stream(rec.t, rec.accel, rec.gyro)
         worst = 0.0
         for k in range(1, len(rec)):
             dt = rec.t[k] - rec.t[k - 1]
-            state, cov = propagate(state, cov, samples[k - 1], dt, NM, pn)
+            sample = ImuSample(rec.t[k - 1], rec.accel[k - 1], rec.gyro[k - 1])
+            state, cov = propagate(state, cov, sample, dt, NM, pn)
             err = np.linalg.norm(state.p - rec.true_positions[k])
             worst = max(worst, err)
         assert worst < 1e-3

@@ -1,5 +1,6 @@
 """Filter mechanics against closed-form and explicit-inverse oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from zvnav.cli import cmd_sweep
 from zvnav.config import merge_config
-from zvnav.core import ImuSample, NoiseModel, arrays_to_stream
+from zvnav.core import ImuSample, NoiseModel, Recording
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import NumericalError, StreamFormatError
 from zvnav.gaitsim import fast_profile, normal_profile, simulate
@@ -19,7 +20,6 @@ from zvnav.ins import (
     align_from_standstill,
     default_initial_covariance,
     propagate,
-    run_lanes,
     run_pipeline,
     run_recordings,
     xi,
@@ -322,11 +322,14 @@ class TestRunPipeline:
         with pytest.raises(StreamFormatError):
             run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-10.0), nm)
 
-    def test_accepts_sample_sequence(self, nm):
+    def test_accepts_recording_or_array_triple(self, nm):
         t, accel, gyro = stationary_arrays(300)
-        stream = arrays_to_stream(t, accel, gyro)
-        report = run_pipeline(stream, "shoe", ThresholdParams(-10.0), nm)
-        assert report.trajectory.shape == (300, 3)
+        rec = Recording("still", t, accel, gyro)
+        (as_rec,), (as_triple,) = run_recordings([rec, (t, accel, gyro)], "shoe",
+                                                 [ThresholdParams(-10.0)], nm)
+        assert as_rec.trajectory.shape == (300, 3)
+        assert np.array_equal(as_rec.trajectory, as_triple.trajectory)
+        assert np.array_equal(as_rec.decisions, as_triple.decisions)
 
     def test_params_used_records_configuration(self, nm):
         t, accel, gyro = stationary_arrays(300)
@@ -356,7 +359,7 @@ class TestLaneKernel:
         lanes = [ThresholdParams(c1) for c1 in grid] + [CALIBRATED]
         singles = {}
         for rec in recs:
-            batched = run_lanes(rec, "shoe", lanes, noise, recording_id=rec.id)
+            (batched,) = run_recordings([rec], "shoe", lanes, noise, recording_ids=[rec.id])
             assert len(batched) == len(lanes)
             for lane, report in zip(lanes, batched):
                 single = run_pipeline(rec, "shoe", lane, noise, recording_id=rec.id)
@@ -453,6 +456,19 @@ class TestLaneKernel:
         report = run_pipeline(rec, "shoe", CALIBRATED, noise)
         assert report.loop_closure_error_m == pytest.approx(closure, rel=0.0, abs=1e-9)
 
+    def test_informative_walk_threshold_trace_pinned(self):
+        """A seeded 20 s walk under the calibrated informative config (c3 != 0,
+        xi on every sample) gives the update count and the exact threshold
+        trace that the kernel gave before it called log_threshold: the one
+        threshold rule changes no bit. Pinned on x86-64 with numpy 2.4; the
+        trace carries c3 * xi, so another BLAS may round it differently."""
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        rec = simulate(normal_profile(noise, seed=1000), 20.0).to_recording("walk", "x")
+        report = run_pipeline(rec, "shoe", CALIBRATED, noise)
+        assert report.zupt_count == 1251
+        digest = hashlib.sha256(report.log_gamma_trace.tobytes()).hexdigest()
+        assert digest == "cbd7d217628e76f646c948de73ac911ebe22a5f847ca787c7c300ed276f7406d"
+
     def test_coast_without_updates_keeps_covariance_healthy(self, nm):
         """30 s of walking with a threshold nothing crosses (c1 > 0 >= logl):
         every step propagates and symmetrizes, no update ever fires."""
@@ -482,16 +498,17 @@ class TestLaneKernel:
             run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-1e9), nm, init=init,
                          window_samples=1)
         with pytest.raises(NumericalError, match="not invertible"):
-            run_lanes((t, accel, gyro), "shoe", [ThresholdParams(1.0), ThresholdParams(-1e9)],
-                      nm, init=init, window_samples=1)
+            run_recordings([(t, accel, gyro)], "shoe",
+                           [ThresholdParams(1.0), ThresholdParams(-1e9)], nm, init=init,
+                           window_samples=1)
         # and on a lane of the second recording of a multi-recording call: the
         # first (longer, spinning: logl = -11250) never crosses c1 = -1e3, the
         # second (at rest: logl = 0) does on its second lane
         spin = (np.arange(60) / 250.0, np.tile([0.0, 0.0, GRAV], (60, 1)),
                 np.tile([3.0, 0.0, 0.0], (60, 1)))
         lanes = [ThresholdParams(1.0), ThresholdParams(-1e3)]
-        assert not any(r.zupt_count for r in run_lanes(spin, "shoe", lanes, nm, init=init,
-                                                       window_samples=1))
+        (spun,) = run_recordings([spin], "shoe", lanes, nm, init=init, window_samples=1)
+        assert not any(r.zupt_count for r in spun)
         with pytest.raises(NumericalError, match="not invertible"):
             run_recordings([spin, (t, accel, gyro)], "shoe", lanes, nm, init=init,
                            window_samples=1)

@@ -1,20 +1,27 @@
 """Threshold math against scalar oracles and the cross-route identity."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError
+from zvnav.ins import (
+    NavState,
+    ProcessNoise,
+    _filter_lanes,
+    default_initial_covariance,
+    run_recordings,
+)
 from zvnav.threshold import (
-    Hypothesis,
     LossParams,
     PriorParams,
     ThresholdParams,
     calibrate,
-    decide,
     hypothesis_prior,
     interp_quantile,
     log_threshold,
@@ -104,10 +111,37 @@ class TestLogThreshold:
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             log_threshold(ThresholdParams(0.0), -1.0, 0.0)
+        with pytest.raises(ValueError):
+            log_threshold(ThresholdParams(0.0), np.array([[0.5, -1e-12]]), None)
+
+    def test_elementwise_matches_scalar_calls(self):
+        # lane-stacked (R, C) coefficients, dt and xi, as the filter loop
+        # passes them: each entry equals its scalar call bit for bit, and a
+        # NaN xi drops the c3 term exactly as xi=None does
+        rng = np.random.default_rng(7)
+        shape = (3, 5)
+        stacked = SimpleNamespace(c1=rng.uniform(-100.0, 0.0, shape),
+                                  c2=rng.uniform(-2000.0, 0.0, shape),
+                                  c3=rng.uniform(-0.01, 0.01, shape))
+        stacked.c3[:, 0] = 0.0
+        dt = rng.uniform(0.0, 2.0, shape)
+        xi = np.exp(rng.uniform(-3.0, 14.0, shape))
+        xi[rng.random(shape) < 0.4] = np.nan
+        got = log_threshold(stacked, dt, xi)
+        assert got.shape == shape
+        for r, c in np.ndindex(*shape):
+            params = ThresholdParams(stacked.c1[r, c], stacked.c2[r, c], stacked.c3[r, c])
+            ev = None if math.isnan(xi[r, c]) else xi[r, c]
+            assert got[r, c] == log_threshold(params, dt[r, c], ev)
+        no_xi = log_threshold(stacked, dt, None)
+        assert np.array_equal(log_threshold(stacked, dt, np.full(shape, np.nan)), no_xi)
+        assert np.array_equal(got[np.isnan(xi)], no_xi[np.isnan(xi)])
 
     def test_c2_positive_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as record:
             ThresholdParams(0.0, c2=0.5)
+        # reported where the parameters are built, not in the generated __init__
+        assert record[0].filename == __file__
 
     def test_c2_nonpositive_silent(self, recwarn):
         ThresholdParams(0.0, c2=0.0)
@@ -146,13 +180,42 @@ class TestCrossRouteIdentity:
 
 
 class TestDecide:
-    def test_frozen_trio(self):
-        assert decide(-1.0, -2.0) == Hypothesis.STATIONARY
-        assert decide(-3.0, -2.0) == Hypothesis.MOVING
-        assert decide(-2.0, -2.0) == Hypothesis.MOVING  # tie rule
+    """The decision rule lives in the filter loop: a lane fires where the
+    statistic strictly exceeds log_threshold. With c2 = c3 = 0 the
+    threshold is c1 at every sample, so each lane's decisions are
+    logl > c1 exactly."""
 
-    def test_nan_statistic_is_moving(self):
-        assert decide(math.nan, -2.0) == Hypothesis.MOVING
+    @pytest.fixture
+    def stream(self, noise):
+        rng = np.random.default_rng(11)
+        t = np.arange(40) / 250.0
+        accel = np.array([0.0, 0.0, 9.81]) + 0.3 * rng.standard_normal((40, 3))
+        gyro = 0.03 * rng.standard_normal((40, 3))
+        return (t, accel, gyro), shoe_log_lr_trace(accel, gyro, 5, noise)
+
+    def test_frozen_trio(self, noise, stream):
+        triple, logl = stream
+        k = 17
+        level = logl[k]
+        lanes = [ThresholdParams(level), ThresholdParams(np.nextafter(level, -np.inf)),
+                 ThresholdParams(np.nextafter(level, np.inf))]
+        (reports,) = run_recordings([triple], "shoe", lanes, noise)
+        # a tie does not fire; one ulp below the statistic does
+        assert [r.decisions[k] for r in reports] == [False, True, False]
+        for lane, report in zip(lanes, reports):
+            assert np.array_equal(report.logl_trace, logl, equal_nan=True)
+            assert np.array_equal(report.decisions[4:], logl[4:] > lane.c1)
+
+    def test_nan_statistic_is_moving(self, noise, stream):
+        (t, accel, gyro), logl = stream
+        # a threshold every finite statistic crosses: warm-up NaN and a NaN
+        # statistic mid-stream are the only samples that do not fire
+        logl = logl.copy()
+        logl[20] = np.nan
+        out = _filter_lanes(t, accel, gyro, NavState.identity(), default_initial_covariance(),
+                            noise, ProcessNoise.from_sample_noise(noise, 250.0), 0,
+                            lanes=[ThresholdParams(-1e300)], logl=logl)
+        assert np.flatnonzero(~out.decisions[:, 0]).tolist() == [0, 1, 2, 3, 20]
 
     @given(
         logl=st.floats(min_value=-1e6, max_value=0.0),
@@ -165,10 +228,8 @@ class TestDecide:
         # except at knife-edge ties where the additions themselves round
         margin = abs(logl - c1)
         assume(margin > 1e-9 * max(1.0, abs(logl), abs(c1), abs(offset)))
-        base = decide(logl, log_threshold(ThresholdParams(c1), 0.0, None))
-        shifted = decide(
-            logl + offset, log_threshold(ThresholdParams(c1 + offset), 0.0, None)
-        )
+        base = logl > log_threshold(ThresholdParams(c1), 0.0, None)
+        shifted = logl + offset > log_threshold(ThresholdParams(c1 + offset), 0.0, None)
         assert base == shifted
 
 
@@ -292,7 +353,7 @@ class TestMonotonicity:
         params = ThresholdParams(0.0, -1.0, 0.0)
         logl = -1234.5
         dt = 0.0
-        while decide(logl, log_threshold(params, dt, None)) == Hypothesis.MOVING:
+        while not logl > log_threshold(params, dt, None):
             dt += 1.0
             assert dt < 1e5
         assert dt == pytest.approx(1235.0)
