@@ -663,17 +663,17 @@ def cmd_calibrate(rec: Recording, cfg: dict[str, Any]) -> ThresholdParams:
     """
     noise = noise_from_config(cfg)
     n = _check_window(cfg)
-    sets = extract_calibration_sets(rec, n, noise=noise, pn=process_noise_from_config(cfg))
+    sets = extract_calibration_sets(rec, n, noise=noise, pn=process_noise_from_config(cfg),
+                                    reference_xi=cfg["prior"] == "informative")
     det = get_detector(cfg["detector"])
     if det.name == "shoe":  # SHOE needs each window's own gravity direction
         check_gravity_direction(
             rec.accel, np.concatenate([sets.stationary, sets.midstance, sets.swing]), n
         )
     logl = det.trace(rec.accel, rec.gyro, n, noise)
-    xi_star = sets.xi_star if cfg["prior"] == "informative" else None
     return calibrate(
         logl[sets.stationary + n - 1], logl[sets.midstance + n - 1],
-        logl[sets.swing + n - 1], xi_star,
+        logl[sets.swing + n - 1], sets.xi_star,
         dtau=cfg["dtau"], epsilon=cfg["epsilon"],
     )
 

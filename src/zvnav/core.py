@@ -106,8 +106,8 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("sigma_a", "sigma_w", "gravity_mag", "sigma_zupt"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if not (math.isfinite(value * value) and value > 0.0):  # the filter squares it
+                raise ValueError(f"{name} must be positive with a finite square, got {value}")
 
 
 @dataclass(frozen=True)

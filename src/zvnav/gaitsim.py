@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import NoiseModel, Recording, stream_to_arrays
 from .errors import CalibrationDataError, ConfigError
-from .ins import NavState, ProcessNoise, _filter_lanes, default_initial_covariance
+from .ins import NavState, ProcessNoise, _label_pass, default_initial_covariance
 from .quat import quat_conj, quat_mul, rotmat_from_quat
 
 PHASE_STANDSTILL = 0
@@ -384,7 +384,7 @@ class CalibrationSets(NamedTuple):
     stationary: np.ndarray
     midstance: np.ndarray
     swing: np.ndarray
-    xi_star: float
+    xi_star: float | None
 
 
 def _bool_runs(mask: np.ndarray) -> list[tuple[int, int]]:
@@ -423,14 +423,12 @@ def _reference_xi_median(rec, noise: NoiseModel, pn: ProcessNoise, swing_mask) -
     # the pass is causal, so samples after the last swing sample cannot change xi
     end = int(np.flatnonzero(swing_mask)[-1]) + 1
     t, accel, gyro = stream_to_arrays(rec)
-    out = _filter_lanes(
-        t[:end], accel[:end], gyro[:end], NavState.identity(),
-        default_initial_covariance(), noise, pn, 1,
-        zupts=np.asarray(rec.stationary)[:end], xi_mask=swing_mask[:end],
-    )
-    if not out.xi:
+    xis = _label_pass(t[:end], accel[:end], gyro[:end], NavState.identity(),
+                      default_initial_covariance(), noise, pn,
+                      np.asarray(rec.stationary)[:end], swing_mask[:end])
+    if not xis.size:
         raise CalibrationDataError("no usable swing samples for the speed evidence")
-    return float(np.median(out.xi))
+    return float(np.median(xis))
 
 
 def extract_calibration_sets(
@@ -439,6 +437,7 @@ def extract_calibration_sets(
     *,
     noise: NoiseModel,
     pn: ProcessNoise | None = None,
+    reference_xi: bool = True,
 ) -> CalibrationSets:
     """Split a labeled recording into the three calibration window sets.
 
@@ -447,7 +446,8 @@ def extract_calibration_sets(
     per step); windows fully inside swing feed the swing set. Each set is
     an array of window start indices; any empty set raises. ``rec`` needs
     t/accel/gyro arrays and stationary labels; explicit phase codes are
-    used when available.
+    used when available. xi_star, from a label-driven filter pass, is None
+    unless ``reference_xi`` is set (the informative prior needs it).
     """
     if n_window < 1:
         raise ValueError(f"window length must be >= 1, got {n_window}")
@@ -478,6 +478,8 @@ def extract_calibration_sets(
     ):
         if not starts.size:
             raise CalibrationDataError(f"{name} calibration set is empty")
+    if not reference_xi:
+        return CalibrationSets(stationary, midstance, swing, None)
     if pn is None:
         t = np.asarray(rec.t, dtype=float)
         pn = ProcessNoise.from_sample_noise(noise, 1.0 / float(np.median(np.diff(t))))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -31,7 +32,7 @@ from .core import NoiseModel, stream_to_arrays, validate_stream
 from .detectors import get_detector
 from .errors import NumericalError, StreamFormatError
 from .quat import quat_between, quat_conj, quat_from_rotvec, quat_mul, quat_normalize
-from .quat import skew
+from .quat import rotmat_from_quat, skew
 from .threshold import ThresholdParams, log_threshold
 
 _QUAT_NORM_TOL = 1e-6
@@ -97,10 +98,9 @@ class ProcessNoise:
     gyro_psd: float  # rad/s per sqrt(Hz)
 
     def __post_init__(self):
-        if not (self.accel_psd > 0.0 and math.isfinite(self.accel_psd)):
-            raise ValueError(f"accel_psd must be positive, got {self.accel_psd}")
-        if not (self.gyro_psd > 0.0 and math.isfinite(self.gyro_psd)):
-            raise ValueError(f"gyro_psd must be positive, got {self.gyro_psd}")
+        for name, value in (("accel_psd", self.accel_psd), ("gyro_psd", self.gyro_psd)):
+            if not (value > 0.0 and math.isfinite(value * value)):  # _process_rate squares it
+                raise ValueError(f"{name} must be positive with a finite square, got {value}")
 
     @classmethod
     def from_sample_noise(cls, noise: NoiseModel, sample_rate: float) -> "ProcessNoise":
@@ -206,6 +206,46 @@ def _zupt(p, v, q, P, r_var):
     return p + dx[..., 0:3], v + dx[..., 3:6], q, 0.5 * (P + P.swapaxes(-1, -2))
 
 
+def _coast(p, v, q, P, G, fb, dt, g_vec, q_rate):
+    """The m = len(dt) _propagate steps of one lane with no update between,
+    in closed form (equal to rounding). p, v (3,), q (4,), P (9, 9) is the
+    state before them, G (m + 1, 4) the prefix attitude before and at each
+    step and fb (m, 3) the specific force in it (_coast_inputs): q_k = L G_k
+    with L = q G_0^-1. As F_j = I + dt_j A_j with A_i A_j A_l = 0, steps 1..k
+    take [[I, T_k I, -[M]x], [0, I, -[N_k]x], [0, 0, I]], with T_k = sum dt_j,
+    N_k = sum dt_j f_j, M = sum dt_j (T_k - T_j) f_j over j <= k. Returns the
+    end state and, per step, v and P_vv, whose noise part sum_j dt_j (q_a I
+    + q_g [N_k - N_j]x [N_k - N_j]x^T) comes from prefix sums of dt N, dt NN^T."""
+    L = quat_mul(q, quat_conj(G[0]))
+    f = fb @ rotmat_from_quat(L).T
+    dt1 = dt[:, None]
+    vs = np.cumsum(np.vstack([v, (f + g_vec) * dt1]), axis=0)[1:]
+    p = np.cumsum(np.vstack([p, vs * dt1]), axis=0)[-1]
+    q = _unit(quat_mul(L, G[-1]))
+    T = np.cumsum(dt)
+    N = np.cumsum(f * dt1, axis=0)
+    Nx = skew(N)
+    Pvv = P[3:6, 3:6] + P[3:6, 6:9] @ Nx - Nx @ P[6:9, 3:6] - Nx @ P[6:9, 6:9] @ Nx
+    NN = N[:, :, None] * N[:, None, :]
+    NS1 = N[:, :, None] * np.cumsum(N * dt1, axis=0)[:, None, :]
+    W = T[:, None, None] * NN - NS1 - NS1.swapaxes(1, 2) + np.cumsum(NN * dt[:, None, None], 0)
+    q_a, q_g = q_rate[3, 3], q_rate[6, 6]
+    Pvv += (q_a * T + q_g * np.trace(W, axis1=1, axis2=2))[:, None, None] * _EYE3 - q_g * W
+    # End: Phi P Phi^T + sum_j dt_j B_j Q B_j^T, B_j = [[tau_j I, -[M_j]x], [I,
+    # -[N_m - N_j]x], [0, I]] the (dv, dpsi) columns of the steps after j = 0..m.
+    tau = T[-1] - np.r_[0.0, T]
+    c = (dt * tau[1:])[:, None] * f
+    B = np.zeros((len(tau), 9, 6))
+    B[:, 0:3, 0:3] = tau[:, None, None] * _EYE3
+    B[:, 3:6, 0:3] = B[:, 6:9, 3:6] = _EYE3
+    B[:, 0:3, 3:6] = -skew(c.sum(axis=0) - np.cumsum(np.vstack([np.zeros(3), c]), axis=0))
+    B[:, 3:6, 3:6] = -skew(N[-1] - np.vstack([np.zeros(3), N]))
+    Phi = np.hstack([_EYE9[:, :3], B[0]])
+    noise = B[1:] * (dt1 * np.repeat([q_a, q_g], 3))[:, None, :]
+    P = Phi @ P @ Phi.T + np.tensordot(noise, B[1:], axes=([0, 2], [0, 2]))
+    return p, vs[-1], q, 0.5 * (P + P.T), vs, Pvv
+
+
 def propagate(state: NavState, cov: NavCovariance, sample, dt: float, noise: NoiseModel,
               pn: ProcessNoise) -> tuple[NavState, NavCovariance]:
     """Integrate one IMU sample over dt and grow the covariance.
@@ -241,14 +281,12 @@ def zupt_update(state: NavState, cov: NavCovariance,
     return NavState(p[0], v[0], q[0]), NavCovariance(P[0])
 
 
-def _xi(S, v, cond_bound):
-    """Speed evidence xi = v^T S^-1 v with S the velocity covariance block.
-
-    ``S`` is the 3x3 block as nested lists and ``v`` a list of 3 floats:
-    plain floats keep this cheap per sample. Returns None when S is
-    singular or its 1-norm condition estimate exceeds cond_bound; callers
-    then drop the speed term (uninformative prior fallback).
-    """
+def _xi_terms(S, v, cond_bound, maximum):
+    """The speed evidence xi = v^T S^-1 v, elementwise over S (3 rows of 3)
+    and v (3) as floats (``maximum`` = max) or arrays (np.maximum folded; the
+    two differ only on NaN, which fails the rule). Returns xi clipped at 0
+    and whether it stands: not where det S <= 0, the 1-norm condition
+    estimate exceeds cond_bound or a value is not finite."""
     (a, s01, s02), (s10, d, s12), (s20, s21, f) = S
     b = 0.5 * (s01 + s10)
     c = 0.5 * (s02 + s20)
@@ -257,48 +295,60 @@ def _xi(S, v, cond_bound):
     B = c * e - b * f
     C = b * e - c * d
     det = a * A + b * B + c * C
-    if not math.isfinite(det) or det <= 0.0:
-        return None
     D = a * f - c * c
     E = b * c - a * e
     G = a * d - b * b
     # the inverse is symmetric: its six distinct entries
     i00, i01, i02, i11, i12, i22 = A / det, B / det, C / det, D / det, E / det, G / det
-    norm_s = max(
-        abs(a) + abs(b) + abs(c), abs(b) + abs(d) + abs(e), abs(c) + abs(e) + abs(f)
-    )
-    norm_inv = max(
-        abs(i00) + abs(i01) + abs(i02), abs(i01) + abs(i11) + abs(i12),
-        abs(i02) + abs(i12) + abs(i22),
-    )
-    if norm_s * norm_inv > cond_bound:
-        return None
+    norm_s = maximum(abs(a) + abs(b) + abs(c), abs(b) + abs(d) + abs(e),
+                     abs(c) + abs(e) + abs(f))
+    norm_inv = maximum(abs(i00) + abs(i01) + abs(i02), abs(i01) + abs(i11) + abs(i12),
+                       abs(i02) + abs(i12) + abs(i22))
     v0, v1, v2 = v
     x0 = i00 * v0 + i01 * v1 + i02 * v2
     x1 = i01 * v0 + i11 * v1 + i12 * v2
     x2 = i02 * v0 + i12 * v1 + i22 * v2
     value = v0 * x0 + v1 * x1 + v2 * x2
-    if not math.isfinite(value):
-        return None
-    return max(value, 0.0)  # clip roundoff just below zero
+    ok = (det > 0.0) & (det * 0.0 == 0.0) & (value * 0.0 == 0.0) \
+        & (norm_s * norm_inv <= cond_bound)  # x * 0 == 0 exactly when x is finite
+    return maximum(value, 0.0), ok  # clip roundoff just below zero
+
+
+def _xi(S, v, cond_bound):
+    """_xi_terms of one lane, S nested lists and v a list (plain floats are
+    cheap per sample); NaN where it does not stand, and callers then drop
+    the speed term (uninformative prior fallback)."""
+    try:
+        value, ok = _xi_terms(S, v, cond_bound, max)
+    except ZeroDivisionError:  # det S == 0
+        return math.nan
+    return value if ok else math.nan
+
+
+def _xi_stack(S, v, cond_bound):
+    """_xi over a stack: S (K, 3, 3), v (K, 3); NaN marks the fallback."""
+    with np.errstate(all="ignore"):
+        value, ok = _xi_terms(S.transpose(1, 2, 0), v.T, cond_bound,
+                              lambda *xs: reduce(np.maximum, xs))
+    return np.where(ok, value, np.nan)
 
 
 def xi(state: NavState, cov: NavCovariance, cond_bound: float = XI_COND_BOUND):
     """Public form of the speed evidence; None signals the fallback."""
-    return _xi(cov.P[3:6, 3:6].tolist(), state.v.tolist(), cond_bound)
+    value = _xi(cov.P[3:6, 3:6].tolist(), state.v.tolist(), cond_bound)
+    return None if math.isnan(value) else value
 
 
 class _LaneTraces(NamedTuple):
     trajectory: np.ndarray  # (n, L, 3), NaN past the end of a lane's recording
     decisions: np.ndarray  # (n, L), True where the lane applied an update
     log_gamma: np.ndarray  # (n, L), NaN where no threshold was formed
-    xi: list  # the one lane's speed evidence on the xi_mask samples
     q: np.ndarray  # (L, 4) final attitude
     P: np.ndarray  # (L, 9, 9) final covariance
 
 
 def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
-                  lanes=(), logl=None, zupts=None, xi_mask=None) -> _LaneTraces:
+                  lanes, logl) -> _LaneTraces:
     """The filter loop: C lanes on each of R recordings, stepped together.
 
     ``t``, ``accel``, ``gyro``, ``state0``, ``pn`` and ``logl`` hold one
@@ -309,9 +359,7 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     logl[k] exceeds log_threshold(lanes[c], t_k - t_last, xi), t_last being
     its last update (t_0 before the first). xi comes from the covariance
     before the update it gates, only where c3 != 0; NaN (the uninformative
-    fallback) drops the c3 term. With supplied ``zupts`` (n,) in place of
-    lanes and logl, one lane on one recording applies an update where
-    zupts[k] is set and records xi on the samples in xi_mask.
+    fallback) drops the c3 term.
 
     A floating-point error in the loop (overflow, say, on a finite but huge
     input) raises NumericalError naming the sample k at which it occurred.
@@ -336,17 +384,14 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
         dts[1:m, j] = np.diff(t[r])
         accels[1:m, j] = accel[r][:-1]
         dqs[1:m, j] = quat_from_rotvec(gyro[r][:-1] * dts[1:m, j, None])
-        if zupts is None:
-            logls[:m, j, 0] = logl[r]
+        logls[:m, j, 0] = logl[r]
     g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
     q_rate = np.array([_process_rate(pn[r]) for r in order])[:, None]
     r_var = noise.sigma_zupt**2
     C = len(lanes)
-    if zupts is not None:  # the supplied decisions take the statistic's place
-        logls, C = np.asarray(zupts, dtype=bool).reshape(n, 1, 1), 1
-    else:  # lane-stacked coefficients, each of shape (1, C)
-        c1, c2, c3 = np.array([(lane.c1, lane.c2, lane.c3) for lane in lanes]).T[:, None]
-        coef = SimpleNamespace(c1=c1, c2=c2, c3=c3)
+    # lane-stacked coefficients, each of shape (1, C)
+    c1, c2, c3 = np.array([(lane.c1, lane.c2, lane.c3) for lane in lanes]).T[:, None]
+    coef = SimpleNamespace(c1=c1, c2=c2, c3=c3)
     xi_lanes = [c for c, lane in enumerate(lanes) if lane.c3 != 0.0]
     xi_buf = np.full((R, C), np.nan)  # NaN: no speed evidence
 
@@ -360,7 +405,6 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     q_end = np.empty((R, C, 4))
     P_end = np.empty((R, C, 9, 9))
     t_last = np.repeat(ts[0], C, 1)
-    xis = []
     active = R
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
@@ -377,22 +421,13 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
                     p, v, q, P = _propagate(p, v, q, P, accels[k], dqs[k], dts[k], g_vec,
                                             q_rate)
                 if k >= first_window:
-                    if zupts is None:
-                        for c in xi_lanes:
-                            for r in range(active):
-                                ev = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist(),
-                                         XI_COND_BOUND)
-                                xi_buf[r, c] = math.nan if ev is None else ev
-                        lg = log_threshold(coef, ts[k] - t_last, xi_buf if xi_lanes else None)
-                        lgam[k] = lg
-                        fire = logls[k] > lg  # NaN never passes
-                    else:
-                        if xi_mask[k]:
-                            ev = _xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(),
-                                     XI_COND_BOUND)
-                            if ev is not None:
-                                xis.append(ev)
-                        fire = logls[k]
+                    for c in xi_lanes:
+                        for r in range(active):
+                            xi_buf[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist(),
+                                               XI_COND_BOUND)
+                    lg = log_threshold(coef, ts[k] - t_last, xi_buf if xi_lanes else None)
+                    lgam[k] = lg
+                    fire = logls[k] > lg  # NaN never passes
                     fired = np.count_nonzero(fire)
                     if fired:
                         if fired == fire.size:  # no gather when every lane fires
@@ -416,8 +451,73 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
             P_end[back])
     L = R * C
     return _LaneTraces(trajectory.reshape(n, L, 3), decisions.reshape(n, L),
-                       log_gamma.reshape(n, L), xis, q_end.reshape(L, 4),
-                       P_end.reshape(L, 9, 9))
+                       log_gamma.reshape(n, L), q_end.reshape(L, 4), P_end.reshape(L, 9, 9))
+
+
+def _coast_inputs(t, accel, gyro):
+    """Per step k of one recording: dt[k] = t_k - t_{k-1}, the gyro increment
+    dq[k] (dt[0] = 0, dq[0] = 1), the prefix attitude G[k] = dq[0] ... dq[k]
+    and the specific force fb[k] = R(G[k-1]) accel[k-1] in it."""
+    dt = np.diff(t, prepend=t[0])
+    dq = quat_from_rotvec(np.vstack([np.zeros(3), gyro[:-1]]) * dt[:, None])
+    with np.errstate(all="ignore"):  # a coast that reads a non-finite value fails
+        G = dq.copy()  # a log-depth scan
+        span = 1
+        while span < len(t):
+            G[span:] = quat_mul(G[:-span], G[span:])
+            span *= 2
+        G = _unit(G)
+        fb = np.zeros((len(t), 3))
+        fb[1:] = (rotmat_from_quat(G[:-1]) @ accel[:-1, :, None])[..., 0]
+    return dt, dq, G, fb
+
+
+def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.ndarray:
+    """One lane on one recording under supplied decisions, an update at each
+    sample k >= 1 where zupts[k] is set, stepped from update to update: one
+    _propagate and one _zupt per update sample, one _coast per run of
+    samples between. Returns xi, in sample order, on the samples k >= 1 in
+    xi_mask (before that sample's update), without fallbacks. A coast sample
+    with a non-finite v or P_vv fails, as a floating-point error does, with
+    a NumericalError naming the sample."""
+    dt, dq, G, fb = _coast_inputs(t, accel, gyro)
+    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
+    q_rate = _process_rate(pn)
+    r_var = noise.sigma_zupt**2
+    # the state as a stack of one lane on one recording, as _propagate takes it
+    p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, cov0.P))
+    xis = []
+    a = 0  # the last update, or the start
+    updates = (np.flatnonzero(np.asarray(zupts[1:], dtype=bool)) + 1).tolist()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            for u in [*updates, len(t)]:
+                if u - a > 1:  # coast over samples a+1 .. u-1
+                    with np.errstate(all="ignore"):
+                        *end, vs, Pvv = _coast(p[0, 0], v[0, 0], q[0, 0], P[0, 0], G[a:u],
+                                               fb[a + 1:u], dt[a + 1:u], g_vec, q_rate)
+                    good = np.isfinite(vs).all(1) & np.isfinite(Pvv).all((1, 2))
+                    good[-1] &= all(np.isfinite(x).all() for x in end)
+                    if not good.all():
+                        k = a + 1 + int(np.argmin(good))
+                        raise NumericalError("state became non-finite in a coast")
+                    p, v, q, P = (x[None, None] for x in end)
+                    sel = xi_mask[a + 1:u]
+                    xis.append(_xi_stack(Pvv[sel], vs[sel], XI_COND_BOUND))
+                if u == len(t):
+                    break
+                k = u
+                p, v, q, P = _propagate(p, v, q, P, accel[u - 1:u], dq[u:u + 1], dt[u:u + 1],
+                                        g_vec, q_rate[None, None])
+                if xi_mask[u]:
+                    xis.append([_xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(),
+                                    XI_COND_BOUND)])
+                p, v, q, P = _zupt(p, v, q, P, r_var)
+                a = u
+        except (FloatingPointError, NumericalError) as exc:
+            raise NumericalError(f"filter failed at sample {k}: {exc}") from exc
+    xis = np.concatenate([[], *xis])
+    return xis[~np.isnan(xis)]
 
 
 @dataclass(frozen=True)

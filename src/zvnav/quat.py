@@ -107,11 +107,9 @@ def quat_between(v_from: np.ndarray, v_to: np.ndarray) -> np.ndarray:
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(a) @ b = a x b."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrix: skew(a) @ b = a x b. ``v`` is one vector (3,)
+    or a stack (..., 3); the result is (3, 3) or (..., 3, 3)."""
+    x, y, z = np.moveaxis(np.asarray(v, dtype=float), -1, 0)
+    o = np.zeros_like(x)
+    return np.stack([np.stack(row, axis=-1) for row in
+                     ((o, -z, y), (z, o, -x), (-y, x, o))], axis=-2)

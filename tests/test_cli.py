@@ -49,6 +49,7 @@ from zvnav.core import ImuWindow, NoiseModel, Recording
 from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError, InputFormatError, NumericalError
 from zvnav.gaitsim import extract_calibration_sets, normal_profile, simulate
+from zvnav.threshold import calibrate
 
 from conftest import make_samples
 
@@ -695,6 +696,32 @@ class TestCalibrate:
         for got, want in zip((params.c1, params.c2, params.c3), pinned):
             assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
+    def test_uninformative_fit_skips_reference_pass(self, walk_rec, walk_files, tmp_path,
+                                                    monkeypatch):
+        """The uninformative prior never reads xi*, so the label-driven
+        reference pass does not run, and the fit is the one computed with it
+        (and thrown away) before."""
+        n = 5
+        sets = extract_calibration_sets(walk_rec, n, noise=NM)
+        assert sets.xi_star > 0.0
+        logl = shoe_log_lr_trace(walk_rec.accel, walk_rec.gyro, n, NM)
+        cfg = default_config()
+        expected = format_calibration(calibrate(
+            logl[sets.stationary + n - 1], logl[sets.midstance + n - 1],
+            logl[sets.swing + n - 1], None, dtau=cfg["dtau"], epsilon=cfg["epsilon"]))
+
+        def refuse(*args):
+            raise AssertionError("reference pass ran for the uninformative prior")
+
+        monkeypatch.setattr("zvnav.gaitsim._reference_xi_median", refuse)
+        csv, labels = walk_files
+        out = tmp_path / "fit.cfg"
+        assert main(["calibrate", str(csv), "--labels", str(labels),
+                     "--prior", "uninformative", "--out", str(out)]) == 0
+        assert out.read_text() == expected
+        with pytest.raises(AssertionError, match="reference pass ran"):
+            cmd_calibrate(walk_rec, merge_config({"prior": "informative"}))
+
     def test_degenerate_window_in_swing_exits_4(self, walk_rec, walk_files, tmp_path,
                                                 capsys):
         """A zero-accelerometer window inside swing has no gravity direction:
@@ -781,6 +808,21 @@ class TestMainEntry:
             write_recording_csv(str(tmp_path / "fine.csv"), walk_rec)
             assert main(["sweep", str(tmp_path / "fine.csv"), str(csv), *args]) == 4
             assert "recording huge: filter failed at sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate"])
+    @pytest.mark.parametrize("flags, key", [
+        (["--accel-psd", "1e200", "--gyro-psd", "1"], "accel_psd"),
+        (["--accel-psd", "1", "--gyro-psd", "1e200"], "gyro_psd"),
+        (["--sigma-zupt", "1e200"], "sigma_zupt"),
+    ])
+    def test_value_with_infinite_square_exits_3_naming_key(self, walk_files, capsys,
+                                                           command, flags, key):
+        """A finite value the filter squares to infinity is a config error."""
+        csv, labels = walk_files
+        inputs = [str(csv), "--labels", str(labels)] if command == "calibrate" else [str(csv)]
+        assert main([command, *inputs, *flags]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be" in err and "finite square" in err
 
     def test_usage_error_exits_3(self, capsys):
         with pytest.raises(SystemExit) as exc:

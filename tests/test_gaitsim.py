@@ -1,10 +1,13 @@
 """Gait generator: exactness of labels and ground truth, calibration splits."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
 from zvnav.core import ImuSample, NoiseModel
-from zvnav.errors import CalibrationDataError, ConfigError
+from zvnav.errors import CalibrationDataError, ConfigError, NumericalError
 from zvnav.gaitsim import (
     PHASE_STANCE,
     PHASE_STANDSTILL,
@@ -245,6 +248,25 @@ class TestCalibrationSets:
         pn = ProcessNoise.from_sample_noise(NM, 250.0)
         xi_star = _reference_xi_median(lab, NM, pn, lab.phase == PHASE_SWING)
         assert xi_star == pytest.approx(413306.7185063072, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [3704, 3740])
+    def test_reference_pass_names_sample_of_huge_value_in_coast(self, bad):
+        """A finite 1e300 in one accelerometer row inside a swing coast (walk
+        777's coast over samples 3704 .. 3783) fails the closed-form coast at
+        the step that reads it, as a step-by-step pass would, and no
+        floating-point warning escapes."""
+        lab = simulate(normal_profile(NM, seed=777), 30.0)
+        assert lab.stationary[3703] and not lab.stationary[3704:3784].any()
+        accel = lab.accel.copy()
+        accel[bad, 0] = 1e300
+        rec = dataclasses.replace(lab, accel=accel)
+        pn = ProcessNoise.from_sample_noise(NM, 250.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="filter failed at sample") as exc:
+                _reference_xi_median(rec, NM, pn, rec.phase == PHASE_SWING)
+        sample = int(str(exc.value).split("at sample ")[1].split(":")[0])
+        assert abs(sample - (bad + 1)) <= 1
 
     def test_recording_without_phase_uses_run_heuristic(self):
         lab = simulate(normal_profile(seed=24), duration=30.0)

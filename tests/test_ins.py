@@ -11,12 +11,21 @@ from zvnav.config import merge_config
 from zvnav.core import ImuSample, NoiseModel, Recording
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import NumericalError, StreamFormatError
-from zvnav.gaitsim import fast_profile, normal_profile, simulate
+from zvnav.gaitsim import PHASE_SWING, fast_profile, normal_profile, simulate
 from zvnav.ins import (
+    XI_COND_BOUND,
     NavCovariance,
     NavState,
     ProcessNoise,
+    _coast,
+    _coast_inputs,
     _filter_lanes,
+    _label_pass,
+    _process_rate,
+    _propagate,
+    _xi,
+    _xi_stack,
+    _zupt,
     align_from_standstill,
     default_initial_covariance,
     propagate,
@@ -525,3 +534,165 @@ class TestLaneKernel:
         assert report.zupt_count == 0
         k = 4  # first full window
         assert report.log_gamma_trace[k] == params.c1 + params.c2 * (t[k] - t[0])
+
+
+def label_pass_reference(rec, noise, pn, zupts, xi_mask):
+    """The label-driven pass sample by sample through the public one-lane
+    wrappers: xi on the xi_mask samples k >= 1, from the covariance before
+    the update at k; also each sample's (P_vv, v) before its update."""
+    state, cov = NavState.identity(), default_initial_covariance()
+    xis, blocks = [], []
+    for k in range(1, len(rec.t)):
+        sample = ImuSample(rec.t[k - 1], rec.accel[k - 1], rec.gyro[k - 1])
+        state, cov = propagate(state, cov, sample, rec.t[k] - rec.t[k - 1], noise, pn)
+        blocks.append((cov.P[3:6, 3:6], state.v))
+        if xi_mask[k]:
+            ev = xi(state, cov)
+            if ev is not None:
+                xis.append(ev)
+        if zupts[k]:
+            state, cov = zupt_update(state, cov, noise)
+    return xis, blocks
+
+
+class TestCoast:
+    """The label-driven pass steps from update to update: one _propagate and
+    one _zupt per update sample, one closed-form _coast per run between."""
+
+    @pytest.fixture(scope="class")
+    def walk777(self):
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        return noise, simulate(normal_profile(noise, seed=777), 30.0)
+
+    @staticmethod
+    def assert_coast_matches(noise, rec, inputs, a, b, p, v, q, P):
+        """_coast over samples a+1 .. b equals that many _propagate steps."""
+        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        q_rate = _process_rate(pn)
+        g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
+        dt, dq, G, fb = inputs
+        cp, cv, cq, cP, vs, Pvv = _coast(p, v, q, P, G[a:b + 1], fb[a + 1:b + 1],
+                                         dt[a + 1:b + 1], g_vec, q_rate)
+        sp, sv, sq, sP = p[None, None], v[None, None], q[None, None], P[None, None]
+        for k in range(a + 1, b + 1):
+            sp, sv, sq, sP = _propagate(sp, sv, sq, sP, rec.accel[k - 1:k], dq[k:k + 1],
+                                        dt[k:k + 1], g_vec, q_rate[None, None])
+            j = k - a - 1
+            assert np.abs(vs[j] - sv[0, 0]).max() <= 1e-9
+            scale = np.abs(sP[0, 0, 3:6, 3:6]).max()
+            assert np.abs(Pvv[j] - sP[0, 0, 3:6, 3:6]).max() <= 1e-9 * scale
+        sp, sv, sq, sP = sp[0, 0], sv[0, 0], sq[0, 0], sP[0, 0]
+        assert np.abs(cp - sp).max() <= 1e-9
+        assert np.abs(cv - sv).max() <= 1e-9
+        assert abs(np.linalg.norm(cq) - 1.0) <= 1e-12
+        assert np.abs(cq - sq).max() <= 1e-9
+        assert np.abs(cP - sP).max() <= 1e-9 * np.abs(sP).max()
+        assert np.array_equal(cP, cP.T)
+        assert np.linalg.eigvalsh(cP).min() >= -1e-12 * np.trace(cP)
+        return sp, sv, sq, sP
+
+    def test_coast_matches_propagate_over_30s_without_updates(self, walk777):
+        noise, rec = walk777
+        state = align_from_standstill(rec, noise)
+        self.assert_coast_matches(noise, rec, _coast_inputs(rec.t, rec.accel, rec.gyro),
+                                  0, len(rec.t) - 1, state.p, state.v, state.q,
+                                  default_initial_covariance().P)
+
+    def test_coast_matches_propagate_on_every_swing_coast(self, walk777):
+        """Walk 777 under its labels, stepped per sample with _propagate and
+        _zupt; each run of samples between updates is also taken by _coast
+        from the same start and compared at every step and at its end."""
+        noise, rec = walk777
+        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        inputs = _coast_inputs(rec.t, rec.accel, rec.gyro)
+        dt, dq = inputs[:2]
+        g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
+        q_rate = _process_rate(pn)[None, None]
+        zupts = rec.stationary
+        state0, P0 = NavState.identity(), default_initial_covariance().P
+        p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, P0))
+        coasts = 0
+        k = 1
+        while k < len(rec.t):
+            if zupts[k]:
+                p, v, q, P = _propagate(p, v, q, P, rec.accel[k - 1:k], dq[k:k + 1],
+                                        dt[k:k + 1], g_vec, q_rate)
+                p, v, q, P = _zupt(p, v, q, P, noise.sigma_zupt**2)
+                k += 1
+                continue
+            b = k
+            while b + 1 < len(rec.t) and not zupts[b + 1]:
+                b += 1
+            end = self.assert_coast_matches(noise, rec, inputs, k - 1, b,
+                                            p[0, 0], v[0, 0], q[0, 0], P[0, 0])
+            p, v, q, P = (x[None, None] for x in end)
+            coasts += 1
+            k = b + 1
+        assert coasts >= 30
+
+    def test_label_pass_matches_public_wrappers(self):
+        """A short labelled walk with an update at the first decision sample,
+        xi on update samples as well as swing, a one-sample coast and a coast
+        that ends at the last sample: the same xi count, each within 1e-9."""
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        lab = simulate(normal_profile(noise, seed=5), 8.0)
+        swing = np.flatnonzero(lab.phase == PHASE_SWING)
+        n = int(swing[len(swing) // 2]) + 1  # stop inside a swing
+        rec = lab.to_recording("short", "normal")
+        zupts = rec.stationary[:n].copy()
+        inner = np.flatnonzero(zupts[:-2] & zupts[1:-1] & zupts[2:]) + 1
+        zupts[inner[len(inner) // 2]] = False  # one sample between two updates
+        xi_mask = (lab.phase[:n] == PHASE_SWING) | (np.arange(n) % 7 == 0)
+        assert zupts[1] and not zupts[-1] and (xi_mask & zupts).any()
+        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        trimmed = Recording("short", rec.t[:n], rec.accel[:n], rec.gyro[:n])
+        expected, _ = label_pass_reference(trimmed, noise, pn, zupts, xi_mask)
+        got = _label_pass(rec.t[:n], rec.accel[:n], rec.gyro[:n], NavState.identity(),
+                          default_initial_covariance(), noise, pn, zupts, xi_mask)
+        assert len(got) == len(expected) > 100
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+
+    def test_label_pass_propagates_once_per_update(self, walk777, monkeypatch):
+        """No silent fallback to stepping every sample: the pass over walk 777
+        calls _propagate exactly once per update sample."""
+        noise, rec = walk777
+        calls = []
+        real = _propagate
+
+        def spy(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr("zvnav.ins._propagate", spy)
+        xis = _label_pass(rec.t, rec.accel, rec.gyro, NavState.identity(),
+                          default_initial_covariance(), noise,
+                          ProcessNoise.from_sample_noise(noise, 250.0), rec.stationary,
+                          rec.phase == PHASE_SWING)
+        assert len(xis) > 2000
+        assert len(calls) == np.count_nonzero(rec.stationary[1:])
+
+    def test_xi_stack_equals_scalar_xi_bit_for_bit(self):
+        """On every sample's velocity covariance and velocity along a walk,
+        and on the three fallback cases (det <= 0, condition above the bound,
+        a non-finite value), the stacked form is the scalar form."""
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        rec = simulate(normal_profile(noise, seed=5), 6.0)
+        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        _, blocks = label_pass_reference(rec, noise, pn, rec.stationary,
+                                         np.zeros(len(rec.t), dtype=bool))
+        S = [b[0] for b in blocks]
+        v = [b[1] for b in blocks]
+        fallback = [
+            (np.zeros((3, 3)), [0.1, 0.0, 0.0]),  # det = 0
+            (-np.eye(3), [0.1, 0.0, 0.0]),  # det < 0
+            (np.diag([1e300, 1e5, 1e5]), [0.1, 0.0, 0.0]),  # det overflows
+            (np.diag([1e8, 1e-8, 1e-8]), [0.1, 0.0, 0.0]),  # condition 1e16
+            (np.eye(3), [1e200, 0.0, 0.0]),  # xi overflows
+        ]
+        S += [f[0] for f in fallback]
+        v += [np.asarray(f[1]) for f in fallback]
+        scalar = np.array([_xi(s.tolist(), u.tolist(), XI_COND_BOUND) for s, u in zip(S, v)])
+        assert np.isnan(scalar[-5:]).all()
+        assert np.count_nonzero(scalar > 0.0) > 1000
+        stacked = _xi_stack(np.array(S), np.array(v), XI_COND_BOUND)
+        assert np.array_equal(stacked, scalar, equal_nan=True)

@@ -121,3 +121,10 @@ def test_skew_is_cross_product():
     rng = np.random.default_rng(27)
     a, b = rng.standard_normal(3), rng.standard_normal(3)
     np.testing.assert_allclose(skew(a) @ b, np.cross(a, b), atol=1e-15)
+    # a (4, 2, 3) stack gives each vector's own matrix
+    a, b = rng.standard_normal((2, 4, 2, 3))
+    K = skew(a)
+    assert K.shape == (4, 2, 3, 3)
+    for i in np.ndindex(4, 2):
+        assert np.array_equal(K[i], skew(a[i]))
+    np.testing.assert_allclose((K @ b[..., None])[..., 0], np.cross(a, b), atol=1e-15)
