@@ -28,14 +28,14 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
-from .config import SCHEMA, default_config, format_config, load_config, merge_config
+from .config import SCHEMA, default_config, format_config, format_key_values, format_value
+from .config import key_values, load_config, merge_config, read_lines
 from .core import PERIOD_REL_TOL, NoiseModel, Recording
 from .detectors import check_gravity_direction, get_detector
 from .errors import ConfigError, InputFormatError, NumericalError, StreamFormatError
@@ -65,24 +65,6 @@ _HEADER_RE = re.compile(r"^([a-z]+)(?:[\s_\[(]\s*(.*?)\s*[\])]?)?$")
 
 # ---------------------------------------------------------------------------
 # CSV ingest
-
-
-@dataclass(frozen=True)
-class CsvFormat:
-    """Externally supplied unit facts about a CSV file.
-
-    ``None`` means "not stated": the header annotation decides, and a bare
-    header defaults to SI (rad/s, m/s^2).
-    """
-
-    gyro_unit: str | None = None
-    accel_unit: str | None = None
-
-    def __post_init__(self):
-        if self.gyro_unit not in (None, "rad", "deg"):
-            raise ConfigError(f"gyro_unit must be rad or deg, got {self.gyro_unit!r}")
-        if self.accel_unit not in (None, "ms2", "g"):
-            raise ConfigError(f"accel_unit must be ms2 or g, got {self.accel_unit!r}")
 
 
 def _classify_gyro_annotation(ann: str) -> str | None:
@@ -137,19 +119,6 @@ def _resolve_unit(
     return flag if flag is not None else default
 
 
-def _read_rows(path: str) -> list[str]:
-    """Lines of a UTF-8 text file (a leading byte-order mark is dropped),
-    without the blank lines at its end. Blank lines elsewhere stay, so the
-    parser reports them as malformed rows."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    while lines and not lines[-1].strip():
-        lines.pop()
-    return lines
-
-
 def _parse_field(path: str, r: int, text: str) -> float:
     """One finite number from data row r, or an error naming the row."""
     text = text.strip()
@@ -165,7 +134,7 @@ def _parse_field(path: str, r: int, text: str) -> float:
 def _fast_rows(rows: list[str], width: int) -> np.ndarray | None:
     """Data rows as a (len(rows), width) array of finite floats, parsed in
     one streaming pass; None if any row has the wrong field count or a
-    field that is not a finite number. The row-by-row parsers then name the
+    field that is not a finite number. :func:`_table` then names the
     offending row."""
     if not all(line.count(",") == width - 1 for line in rows):
         return None
@@ -179,30 +148,51 @@ def _fast_rows(rows: list[str], width: int) -> np.ndarray | None:
     return data.reshape(len(rows), width)
 
 
-def _csv_rows(path: str, rows: list[str]) -> np.ndarray:
-    """Row-by-row IMU parser: the reference for :func:`_fast_rows`, and the
-    source of the row-numbered error when that gives up."""
-    data = np.empty((len(rows), len(_COLUMNS)))
+def _table(path: str, rows: list[str], width: int, label: bool = False) -> np.ndarray:
+    """CSV data rows as a (len(rows), width) array of finite floats. With
+    ``label``, the last field is a stationary label: the text 0 or 1, not
+    any number equal to it. A clean table is parsed by :func:`_fast_rows`;
+    the row-by-row loop below is its reference and names the first
+    offending row."""
+    data = _fast_rows(rows, width)
+    if data is not None and (
+        not label or all(line.rpartition(",")[2].strip() in ("0", "1") for line in rows)
+    ):
+        return data
+    data = np.empty((len(rows), width))
     for r, line in enumerate(rows, start=1):
         parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise InputFormatError(
-                f"{path}: row {r}: expected {len(_COLUMNS)} fields, "
-                f"got {len(parts)}"
-            )
-        data[r - 1] = [_parse_field(path, r, part) for part in parts]
+        if len(parts) != width:
+            raise InputFormatError(f"{path}: row {r}: expected {width} fields, got {len(parts)}")
+        numbers = parts[:-1] if label else parts
+        data[r - 1, : len(numbers)] = [_parse_field(path, r, part) for part in numbers]
+        if label:
+            flag = parts[-1].strip()
+            if flag not in ("0", "1"):
+                raise InputFormatError(
+                    f"{path}: row {r}: stationary label must be 0 or 1, got {flag!r}"
+                )
+            data[r - 1, -1] = flag == "1"
     return data
 
 
-def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
+def ingest_csv(path: str, gyro_unit: str | None = None,
+               accel_unit: str | None = None) -> Recording:
     """Parse one IMU CSV into a Recording, applying unit conversions.
+
+    ``gyro_unit`` (rad or deg) and ``accel_unit`` (ms2 or g) are units
+    stated outside the file; None means not stated: the header annotation
+    decides, and a bare header defaults to SI (rad/s, m/s^2).
 
     Row indices in error messages are 1-based over data rows (the row
     right after the header is row 1). A non-increasing timestamp is
     reported at the first offending row.
     """
-    fmt = fmt or CsvFormat()
-    lines = _read_rows(path)
+    for key, unit in (("gyro_unit", gyro_unit), ("accel_unit", accel_unit)):
+        choices = SCHEMA[key][0].split(":", 1)[1].split(",")
+        if unit not in (None, *choices):
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {unit!r}")
+    lines = read_lines(path, InputFormatError)
     if not lines:
         raise InputFormatError(f"{path}: empty file")
 
@@ -227,18 +217,16 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
         elif ann and base in ("ax", "ay", "az"):
             accel_anns.append((field, ann))
     gyro_unit = _resolve_unit(
-        "gyro", gyro_anns, fmt.gyro_unit, _classify_gyro_annotation, "rad", path
+        "gyro", gyro_anns, gyro_unit, _classify_gyro_annotation, "rad", path
     )
     accel_unit = _resolve_unit(
-        "accel", accel_anns, fmt.accel_unit, _classify_accel_annotation, "ms2", path
+        "accel", accel_anns, accel_unit, _classify_accel_annotation, "ms2", path
     )
 
     rows = lines[1:]
     if not rows:
         raise InputFormatError(f"{path}: no data rows")
-    data = _fast_rows(rows, len(_COLUMNS))
-    if data is None:
-        data = _csv_rows(path, rows)
+    data = _table(path, rows, len(_COLUMNS))
 
     t = data[:, 0]
     bad = np.flatnonzero(np.diff(t) <= 0)
@@ -258,37 +246,12 @@ def ingest_csv(path: str, fmt: CsvFormat | None = None) -> Recording:
     return Recording(id=Path(path).stem, t=t, accel=accel, gyro=gyro)
 
 
-def _label_rows(path: str, rows: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Row-by-row labels parser: the reference for the streaming pass in
-    :func:`ingest_labels`, and the source of its row-numbered errors."""
-    times = np.empty(len(rows))
-    flags = np.empty(len(rows), dtype=bool)
-    for r, line in enumerate(rows, start=1):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InputFormatError(
-                f"{path}: row {r}: expected 2 fields, got {len(parts)}"
-            )
-        times[r - 1] = _parse_field(path, r, parts[0])
-        label = parts[1].strip()
-        if label not in ("0", "1"):
-            raise InputFormatError(
-                f"{path}: row {r}: stationary label must be 0 or 1, got {label!r}"
-            )
-        flags[r - 1] = label == "1"
-    return times, flags
-
-
 def ingest_labels(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse a ``t,stationary`` sidecar; times must be finite, values 0 or 1."""
-    lines = _read_rows(path)
+    lines = read_lines(path, InputFormatError)
     if not lines or [f.strip().lower() for f in lines[0].split(",")] != ["t", "stationary"]:
         raise InputFormatError(f"{path}: labels header must be t,stationary")
-    rows = lines[1:]
-    data = _fast_rows(rows, 2)
-    # a label is the text 0 or 1, not any number equal to it
-    if data is None or not all(line.rpartition(",")[2].strip() in ("0", "1") for line in rows):
-        return _label_rows(path, rows)
+    data = _table(path, lines[1:], 2, label=True)
     return data[:, 0].copy(), data[:, 1] == 1.0
 
 
@@ -313,13 +276,9 @@ def attach_labels(rec: Recording, times: np.ndarray, flags: np.ndarray) -> Recor
 # CSV / sidecar output
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _fmt_row(row: np.ndarray, sep: str) -> str:
-    """One float row as repr fields: the text of :func:`_fmt_float`, from one
-    ``tolist`` call instead of a conversion per element."""
+    """One float row as repr fields: the text of :func:`format_value`, from
+    one ``tolist`` call instead of a conversion per element."""
     return sep.join(map(repr, row.tolist()))
 
 
@@ -342,28 +301,14 @@ def write_labels_csv(path: str, t: np.ndarray, stationary: np.ndarray) -> None:
 
 
 def write_meta(path: str, rec: Recording) -> None:
-    lines = [f"id={rec.id}"]
-    if rec.gait_tag is not None:
-        lines.append(f"gait_tag={rec.gait_tag}")
-    if rec.loop_length_m is not None:
-        lines.append(f"loop_length_m={_fmt_float(rec.loop_length_m)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    items = [("id", rec.id), ("gait_tag", rec.gait_tag), ("loop_length_m", rec.loop_length_m)]
+    text = format_key_values((key, value) for key, value in items if value is not None)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def read_meta(path: str) -> dict[str, Any]:
-    meta: dict[str, Any] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise InputFormatError(f"{path}:{lineno}: expected key=value")
-        key, _, value = stripped.partition("=")
-        meta[key.strip()] = value.strip()
+    meta = {key: raw.strip() for _, key, raw in
+            key_values(read_lines(path, InputFormatError), path, InputFormatError)}
     if "loop_length_m" in meta:
         try:
             meta["loop_length_m"] = float(meta["loop_length_m"])
@@ -380,20 +325,15 @@ def read_meta(path: str) -> dict[str, Any]:
 
 def format_report(report: RunReport) -> str:
     """Serialize a run report as key=value lines (floats via repr)."""
-    p_end = report.trajectory[-1]
-    lines = [
-        f"format={REPORT_FORMAT}",
-        f"recording_id={report.recording_id}",
-        f"n_samples={len(report.decisions)}",
-        f"zupt_count={report.zupt_count}",
-        f"loop_closure_error_m={_fmt_float(report.loop_closure_error_m)}",
-        "final_position_m=" + ",".join(_fmt_float(x) for x in p_end),
-    ]
-    for key in sorted(report.params_used):
-        value = report.params_used[key]
-        text = _fmt_float(value) if isinstance(value, float) else str(value)
-        lines.append(f"params.{key}={text}")
-    return "\n".join(lines) + "\n"
+    return format_key_values([
+        ("format", REPORT_FORMAT),
+        ("recording_id", report.recording_id),
+        ("n_samples", len(report.decisions)),
+        ("zupt_count", report.zupt_count),
+        ("loop_closure_error_m", float(report.loop_closure_error_m)),
+        ("final_position_m", tuple(report.trajectory[-1].tolist())),
+        *((f"params.{key}", report.params_used[key]) for key in sorted(report.params_used)),
+    ])
 
 
 # keys whose values stay strings even when they look numeric
@@ -403,26 +343,23 @@ _STRING_KEYS = frozenset({"format", "recording_id", "params.detector"})
 def parse_report(text: str) -> dict[str, Any]:
     """Parse report text back into a flat dict with original value types."""
     out: dict[str, Any] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise InputFormatError(f"report line {lineno}: expected key=value")
-        key, _, raw = line.partition("=")
+    for lineno, key, raw in key_values(text.splitlines(), "report", InputFormatError):
         if key in _STRING_KEYS:
             out[key] = raw
-            continue
-        if "," in raw:
-            out[key] = tuple(float(x) for x in raw.split(","))
-            continue
-        for cast in (int, float):
+        elif "," in raw:
             try:
-                out[key] = cast(raw)
-                break
+                out[key] = tuple(float(x) for x in raw.split(","))
             except ValueError:
-                continue
+                raise InputFormatError(
+                    f"report:{lineno}: {key} is not a list of numbers: {raw!r}"
+                ) from None
         else:
-            out[key] = raw
+            for cast in (int, float, str):
+                try:
+                    out[key] = cast(raw)
+                    break
+                except ValueError:
+                    continue
     if out.get("format") != REPORT_FORMAT:
         raise InputFormatError(
             f"not a {REPORT_FORMAT} report (format={out.get('format')!r})"
@@ -537,7 +474,7 @@ def cmd_sweep(
     configs: list[tuple[str, float, ThresholdParams]] = [
         ("fixed", c1, ThresholdParams(c1, 0.0, 0.0)) for c1 in grid
     ]
-    configs.append(("adaptive", adaptive.c1, adaptive))
+    configs.append(("adaptive", float(adaptive.c1), adaptive))
 
     included = []
     for rec in recordings:
@@ -586,20 +523,8 @@ SWEEP_COLUMNS = ("threshold_mode", "c1", "subset", "rmse_m", "n_recordings")
 
 
 def format_sweep_table(rows: Sequence[dict[str, Any]]) -> str:
-    out = ["\t".join(SWEEP_COLUMNS)]
-    for row in rows:
-        out.append(
-            "\t".join(
-                [
-                    row["threshold_mode"],
-                    _fmt_float(row["c1"]),
-                    row["subset"],
-                    _fmt_float(row["rmse_m"]),
-                    str(row["n_recordings"]),
-                ]
-            )
-        )
-    return "\n".join(out) + "\n"
+    table = [SWEEP_COLUMNS, *([row[c] for c in SWEEP_COLUMNS] for row in rows)]
+    return "".join("\t".join(map(format_value, line)) + "\n" for line in table)
 
 
 def concat_recordings(recordings: Sequence[Recording]) -> Recording:
@@ -680,12 +605,8 @@ def cmd_calibrate(rec: Recording, cfg: dict[str, Any]) -> ThresholdParams:
 
 def format_calibration(params: ThresholdParams) -> str:
     """Emit fitted coefficients as config lines, ready to merge."""
-    return (
-        "threshold_mode=adaptive\n"
-        f"c1={_fmt_float(params.c1)}\n"
-        f"c2={_fmt_float(params.c2)}\n"
-        f"c3={_fmt_float(params.c3)}\n"
-    )
+    return format_key_values([("threshold_mode", "adaptive"), ("c1", float(params.c1)),
+                              ("c2", float(params.c2)), ("c3", float(params.c3))])
 
 
 _GAITS: dict[str, Any] = {
@@ -824,16 +745,9 @@ def _effective_config(args) -> tuple[dict[str, Any], dict[str, Any]]:
     return merge_config(file_cfg, overrides), explicit
 
 
-def _csv_format(explicit: dict[str, Any]) -> CsvFormat:
-    return CsvFormat(
-        gyro_unit=explicit.get("gyro_unit"),
-        accel_unit=explicit.get("accel_unit"),
-    )
-
-
 def _load_recording(path: str, explicit: dict[str, Any],
                     labels: str | None = None, want_meta: bool = False) -> Recording:
-    rec = ingest_csv(path, _csv_format(explicit))
+    rec = ingest_csv(path, explicit.get("gyro_unit"), explicit.get("accel_unit"))
     if labels:
         rec = attach_labels(rec, *ingest_labels(labels))
     if want_meta:

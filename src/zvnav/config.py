@@ -1,14 +1,19 @@
-"""Flat key=value configuration for the command-line harness.
+"""Flat key=value configuration for the command-line harness, and the one
+text codec behind every file the harness reads or writes.
 
 One file, one namespace, no sections. Every run can echo its effective
 configuration (defaults, then file, then command-line overrides) so any
-reported number is reproducible from the echo alone.
+reported number is reproducible from the echo alone. Config files, meta
+sidecars, calibration output and run reports share one key=value grammar
+(:func:`key_values`, :func:`format_key_values`), and every input file is
+read by :func:`read_lines`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from pathlib import Path
+from typing import Any, Iterable, Iterator
 
 from .errors import ConfigError
 
@@ -69,17 +74,56 @@ def _coerce(key: str, raw: str) -> Any:
     raise ConfigError(f"config key {key}: unhandled kind {kind}")
 
 
-def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
-    """Parse `key=value` lines; blank lines and # comments are skipped."""
-    out: dict[str, Any] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def read_lines(path: str, error: type[Exception]) -> list[str]:
+    """Lines of a UTF-8 text file (a leading byte-order mark is dropped),
+    without the blank lines at its end. Blank lines elsewhere stay, so a
+    parser can name them. A file that cannot be read or decoded raises
+    ``error``."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
+    while lines and not lines[-1].strip():
+        lines.pop()
+    return lines
+
+
+def key_values(lines: Iterable[str], source: str,
+               error: type[Exception]) -> Iterator[tuple[int, str, str]]:
+    """``(lineno, key, raw)`` for each ``key=value`` line, skipping blank
+    lines and ``#`` comments. The key is stripped; ``raw`` is the text after
+    the first ``=``, unstripped. A line without ``=`` raises ``error``."""
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
+        key, sep, raw = line.partition("=")
+        if not sep:
+            raise error(f"{source}:{lineno}: expected key=value, got {line!r}")
+        yield lineno, key.strip(), raw
+
+
+def format_value(value: Any) -> str:
+    """The text of one value: floats by ``repr(float(x))``, so they re-parse
+    exactly; tuples comma-joined; None empty; anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, tuple):
+        return ",".join(map(format_value, value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def format_key_values(items: Iterable[tuple[str, Any]]) -> str:
+    """``key=value`` lines, each value written by :func:`format_value`."""
+    return "".join(f"{key}={format_value(value)}\n" for key, value in items)
+
+
+def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
+    """Parse `key=value` lines; blank lines and # comments are skipped."""
+    out: dict[str, Any] = {}
+    for lineno, key, raw in key_values(text.splitlines(), source, ConfigError):
         if key not in SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         out[key] = _coerce(key, raw)
@@ -87,12 +131,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, Any]:
 
 
 def load_config(path: str) -> dict[str, Any]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, source=path)
+    return parse_config_text("\n".join(read_lines(path, ConfigError)), source=path)
 
 
 def merge_config(*layers: dict[str, Any]) -> dict[str, Any]:
@@ -108,8 +147,4 @@ def merge_config(*layers: dict[str, Any]) -> dict[str, Any]:
 
 
 def format_config(cfg: dict[str, Any]) -> str:
-    lines = []
-    for key in SCHEMA:
-        value = cfg.get(key)
-        lines.append(f"{key}={'' if value is None else value}")
-    return "\n".join(lines) + "\n"
+    return format_key_values((key, cfg.get(key)) for key in SCHEMA)

@@ -33,6 +33,7 @@ import numpy as np
 from .core import NoiseModel, Recording, stream_to_arrays
 from .errors import CalibrationDataError, ConfigError
 from .ins import NavState, ProcessNoise, _label_pass, default_initial_covariance
+from .ins import derived_process_noise
 from .quat import quat_conj, quat_mul, rotmat_from_quat
 
 PHASE_STANDSTILL = 0
@@ -481,8 +482,7 @@ def extract_calibration_sets(
     if not reference_xi:
         return CalibrationSets(stationary, midstance, swing, None)
     if pn is None:
-        t = np.asarray(rec.t, dtype=float)
-        pn = ProcessNoise.from_sample_noise(noise, 1.0 / float(np.median(np.diff(t))))
+        pn = derived_process_noise(noise, np.asarray(rec.t, dtype=float))
     xi_star = _reference_xi_median(rec, noise, pn, swing_mask)
     return CalibrationSets(stationary, midstance, swing, xi_star)
 

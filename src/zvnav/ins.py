@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import NoiseModel, stream_to_arrays, validate_stream
 from .detectors import get_detector
-from .errors import NumericalError, StreamFormatError
+from .errors import ConfigError, NumericalError, StreamFormatError
 from .quat import quat_between, quat_conj, quat_from_rotvec, quat_mul, quat_normalize
 from .quat import rotmat_from_quat, skew
 from .threshold import ThresholdParams, log_threshold
@@ -109,6 +109,21 @@ class ProcessNoise:
             raise ValueError(f"sample_rate must be positive, got {sample_rate}")
         root = math.sqrt(sample_rate)
         return cls(accel_psd=noise.sigma_a / root, gyro_psd=noise.sigma_w / root)
+
+
+def derived_process_noise(noise: NoiseModel, t: np.ndarray) -> ProcessNoise:
+    """:meth:`ProcessNoise.from_sample_noise` at the median sample rate of
+    ``t``. A sigma whose density at that rate has no finite positive square
+    is a configuration error naming the sigma and the rate."""
+    rate = 1.0 / float(np.median(np.diff(t)))
+    for name, sigma in (("sigma_a", noise.sigma_a), ("sigma_w", noise.sigma_w)):
+        density = sigma / math.sqrt(rate)
+        if not (density > 0.0 and math.isfinite(density * density)):
+            raise ConfigError(
+                f"{name}={sigma!r} at the median sample rate {rate:.6g} Hz gives a "
+                f"process noise density {density!r} without a finite positive square"
+            )
+    return ProcessNoise.from_sample_noise(noise, rate)
 
 
 def default_initial_covariance() -> NavCovariance:
@@ -568,11 +583,7 @@ def run_recordings(
         validate_stream((t, accel, gyro)).raise_if_bad()
         spec = get_detector(detector)
         logls.append(spec.trace(accel, gyro, window_samples, noise))
-        if pn is None:
-            median_period = float(np.median(np.diff(t)))
-            pns.append(ProcessNoise.from_sample_noise(noise, 1.0 / median_period))
-        else:
-            pns.append(pn)
+        pns.append(derived_process_noise(noise, t) if pn is None else pn)
         if init is None:
             states.append(align_from_standstill((t, accel, gyro), noise))
         else:

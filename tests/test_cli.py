@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zvnav.cli import (
-    CsvFormat,
     MAX_GRID_POINTS,
     STANDARD_GRAVITY,
     attach_labels,
@@ -147,7 +146,7 @@ class TestCsvIngest:
         path.write_text(
             "t,ax,ay,az,gx,gy,gz\n0.0,0,0,9.81,90,0,0\n0.004,0,0,9.81,90,0,0\n"
         )
-        rec = ingest_csv(str(path), CsvFormat(gyro_unit="deg"))
+        rec = ingest_csv(str(path), gyro_unit="deg")
         assert rec.gyro[0, 0] == pytest.approx(math.pi / 2, rel=1e-12)
         si = ingest_csv(str(path))
         assert si.gyro[0, 0] == 90.0
@@ -157,7 +156,7 @@ class TestCsvIngest:
         path.write_text(
             "t,ax,ay,az,gx,gy,gz\n0.0,0,0,1.0,0,0,0\n0.004,0,0,1.0,0,0,0\n"
         )
-        rec = ingest_csv(str(path), CsvFormat(accel_unit="g"))
+        rec = ingest_csv(str(path), accel_unit="g")
         assert rec.accel[0, 2] == STANDARD_GRAVITY
 
     def test_header_annotation_sets_units(self, tmp_path):
@@ -174,7 +173,7 @@ class TestCsvIngest:
         path = tmp_path / "conf.csv"
         path.write_text("t,ax,ay,az,gx_deg,gy,gz\n0.0,0,0,9.81,0,0,0\n")
         with pytest.raises(InputFormatError, match="deg but --gyro-unit=rad"):
-            ingest_csv(str(path), CsvFormat(gyro_unit="rad"))
+            ingest_csv(str(path), gyro_unit="rad")
 
     def test_mixed_annotations_rejected(self, tmp_path):
         path = tmp_path / "mixed.csv"
@@ -187,7 +186,7 @@ class TestCsvIngest:
         path.write_text("t,ax,ay,az,gx[furlong],gy,gz\n0.0,0,0,9.81,0,0,0\n")
         with pytest.raises(InputFormatError, match="pass --gyro-unit"):
             ingest_csv(str(path))
-        rec = ingest_csv(str(path), CsvFormat(gyro_unit="rad"))
+        rec = ingest_csv(str(path), gyro_unit="rad")
         assert len(rec) == 1
 
 
@@ -293,8 +292,9 @@ def test_fast_ingest_matches_row_by_row(parse, width, input_file, data):
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
     """Tiny inputs for the exit-code property: a 2 s slice of a walk with
-    labels and meta, malformed, undecodable and missing files, and a
-    directory where an output file would go."""
+    labels and meta, the same walk at one sample per 5.5e306 s (where a
+    sigma of 6 has no finite process-noise density), malformed, undecodable
+    and missing files, and a directory where an output file would go."""
     root = tmp_path_factory.mktemp("argv")
     lab = simulate(normal_profile(NM, seed=43), 4.5)
     n = 500
@@ -305,6 +305,9 @@ def argv_files(tmp_path_factory):
     write_recording_csv(str(root / "good.csv"), rec)
     write_labels_csv(str(root / "good.labels.csv"), rec.t, rec.stationary)
     write_meta(str(root / "good.meta"), rec)
+    write_recording_csv(str(root / "slow.csv"), dataclasses.replace(
+        rec, t=np.arange(30) * 5.5e306, accel=rec.accel[:30], gyro=rec.gyro[:30],
+        stationary=None))
     write_recording_csv(str(root / "badmeta.csv"), rec)
     (root / "badmeta.meta").write_bytes(b"\xff\xfeloop_length_m=x\n")
     (root / "bad.csv").write_text("t,ax\n1,2\n", encoding="utf-8")
@@ -315,8 +318,8 @@ def argv_files(tmp_path_factory):
     return root
 
 
-_ARGV_FILES = ("good.csv", "good.labels.csv", "badmeta.csv", "bad.csv", "binary.bin",
-               "good.cfg", "bad.cfg", "missing.csv", "outdir", "out.txt")
+_ARGV_FILES = ("good.csv", "good.labels.csv", "slow.csv", "badmeta.csv", "bad.csv",
+               "binary.bin", "good.cfg", "bad.cfg", "missing.csv", "outdir", "out.txt")
 _NUMBERS = ("0", "-1", "0.5", "6", "-50", "1e308", "-1e308", "nan", "inf", "abc")
 _ARGV_OPTION = st.one_of(
     st.tuples(st.sampled_from(["--labels", "--config", "--report", "--trace", "--out"]),
@@ -365,6 +368,41 @@ def test_main_exit_code_is_documented(argv_files, argv):
     assert code in (0, 2, 3, 4), (args, sink.getvalue()[-500:])
 
 
+def _schema_value(kind):
+    if kind.startswith("choice:"):
+        return st.sampled_from(kind.split(":", 1)[1].split(","))
+    if kind == "int":
+        return st.integers()
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return st.none() | finite if kind == "float?" else finite
+
+
+_CONFIGS = st.fixed_dictionaries({key: _schema_value(kind) for key, (kind, _) in SCHEMA.items()})
+# text a key=value line carries unchanged: no line breaks, no outer whitespace
+_VALUE_TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+                      min_size=1).map(str.strip).filter(bool)
+
+
+@given(cfg=_CONFIGS)
+@settings(max_examples=100, deadline=None)
+def test_config_text_round_trips(cfg):
+    text = format_config(cfg)
+    assert parse_config_text(text) == cfg
+    assert format_config(parse_config_text(text)) == text
+
+
+@given(rec_id=_VALUE_TEXT, gait_tag=st.none() | _VALUE_TEXT,
+       loop_length_m=st.none() | st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=100, deadline=None)
+def test_meta_round_trips(input_file, rec_id, gait_tag, loop_length_m):
+    rec = Recording(id=rec_id, t=np.zeros(1), accel=np.zeros((1, 3)), gyro=np.zeros((1, 3)),
+                    gait_tag=gait_tag, loop_length_m=loop_length_m)
+    path = str(input_file.with_suffix(".meta"))
+    write_meta(path, rec)
+    written = {"id": rec_id, "gait_tag": gait_tag, "loop_length_m": loop_length_m}
+    assert read_meta(path) == {k: v for k, v in written.items() if v is not None}
+
+
 class TestLabels:
     def test_labels_round_trip(self, walk_rec, tmp_path):
         csv = tmp_path / "w.csv"
@@ -373,6 +411,15 @@ class TestLabels:
         write_labels_csv(str(labels), walk_rec.t, walk_rec.stationary)
         rec = attach_labels(ingest_csv(str(csv)), *ingest_labels(str(labels)))
         assert np.array_equal(rec.stationary, walk_rec.stationary)
+
+    def test_row_by_row_parse_matches_streaming_on_a_walk(self, walk_rec, tmp_path):
+        labels = tmp_path / "w.labels.csv"
+        write_labels_csv(str(labels), walk_rec.t, walk_rec.stationary)
+        times, flags = ingest_labels(str(labels))
+        with mock.patch("zvnav.cli._fast_rows", return_value=None):
+            slow_times, slow_flags = ingest_labels(str(labels))
+        assert np.array_equal(times, slow_times) and np.array_equal(times, walk_rec.t)
+        assert np.array_equal(flags, slow_flags) and np.array_equal(flags, walk_rec.stationary)
 
     def test_length_mismatch_rejected(self, walk_rec, tmp_path):
         labels = tmp_path / "short.labels.csv"
@@ -493,6 +540,15 @@ class TestRunAndReport:
     def test_parse_rejects_foreign_text(self):
         with pytest.raises(InputFormatError, match="not a zvnav-report"):
             parse_report("hello=world\n")
+
+    def test_parse_names_line_of_malformed_value(self, walk_rec):
+        lines = format_report(cmd_run(walk_rec, default_config())).splitlines()
+        assert lines[5].startswith("final_position_m=")
+        lines[5] = "final_position_m=1,x"
+        with pytest.raises(InputFormatError, match="report:6: final_position_m .*'1,x'"):
+            parse_report("\n".join(lines))
+        with pytest.raises(InputFormatError, match="report:2: expected key=value"):
+            parse_report("format=zvnav-report-v1\nfinal_position_m\n")
 
     def test_runs_are_deterministic(self, walk_rec):
         cfg = default_config()
@@ -824,6 +880,24 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert f"config error: {key} must be" in err and "finite square" in err
 
+    @pytest.mark.parametrize("command, key", [("run", "sigma_a"), ("sweep", "sigma_a"),
+                                              ("run", "sigma_w"), ("calibrate", "sigma_a")])
+    def test_sigma_without_finite_density_at_low_rate_exits_3(self, walk_rec, tmp_path,
+                                                               capsys, command, key):
+        """At 0.5 Hz the process-noise density derived from a sigma of 1e154
+        has no finite square: a config error naming the sigma and the rate,
+        for run and sweep and for calibrate's reference pass."""
+        slow = dataclasses.replace(walk_rec, t=walk_rec.t * 500.0)
+        csv, labels = tmp_path / "slow.csv", tmp_path / "slow.labels.csv"
+        write_recording_csv(str(csv), slow)
+        write_labels_csv(str(labels), slow.t, slow.stationary)
+        inputs = [str(csv)]
+        if command == "calibrate":
+            inputs += ["--labels", str(labels), "--prior", "informative"]
+        assert main([command, *inputs, "--" + key.replace("_", "-"), "1e154"]) == 3
+        err = capsys.readouterr().err
+        assert f"config error: {key}=1e+154 at the median sample rate 0.5 Hz" in err
+
     def test_usage_error_exits_3(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run"])  # missing recording operand
@@ -840,6 +914,15 @@ class TestMainEntry:
         assert "detector=are" in out
         cfg = parse_config_text(out)
         assert cfg["window_samples"] == 5
+
+    def test_config_file_read_like_the_csvs(self, walk_files, tmp_path, capsys):
+        """A byte-order mark is dropped and trailing blank lines are ignored."""
+        csv, _ = walk_files
+        cfg_file = tmp_path / "bom.cfg"
+        cfg_file.write_text("\ufeffc1=-50\nsigma_a=0.3\n\n \n", encoding="utf-8")
+        assert main(["run", str(csv), "--config", str(cfg_file), "--print-config"]) == 0
+        cfg = parse_config_text(capsys.readouterr().out)
+        assert (cfg["c1"], cfg["sigma_a"]) == (-50.0, 0.3)
 
     def test_config_file_and_override_precedence(self, walk_files, tmp_path, capsys):
         csv, _ = walk_files
@@ -879,6 +962,19 @@ class TestMainEntry:
         assert lines[0] == "threshold_mode\tc1\tsubset\trmse_m\tn_recordings"
         assert len(lines) == 1 + 2 * 3  # subsets normal + all, grid 2 + adaptive
         assert any("\tnormal\t" in line for line in lines[1:])
+
+    def test_meta_file_read_like_the_csvs(self, walk_rec, walk_files, tmp_path, capsys):
+        """A meta file that starts with a byte-order mark keeps its first key,
+        so the sweep still puts the recording in its gait subset."""
+        csv, _ = walk_files
+        (tmp_path / "walk-41.meta").write_text(
+            f"\ufeffgait_tag = normal\nloop_length_m={walk_rec.loop_length_m!r}\n\n",
+            encoding="utf-8")
+        assert read_meta(str(tmp_path / "walk-41.meta")) == {
+            "gait_tag": "normal", "loop_length_m": walk_rec.loop_length_m}
+        assert main(["sweep", str(csv), "--grid=-20"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("\t")[2] for line in lines[1:]] == ["normal"] * 2 + ["all"] * 2
 
     def test_nan_label_time_exits_2(self, walk_files, capsys):
         csv, labels = walk_files
