@@ -310,12 +310,14 @@ def read_meta(path: str) -> dict[str, Any]:
     meta = {key: raw.strip() for _, key, raw in
             key_values(read_lines(path, InputFormatError), path, InputFormatError)}
     if "loop_length_m" in meta:
+        raw = meta["loop_length_m"]
         try:
-            meta["loop_length_m"] = float(meta["loop_length_m"])
+            meta["loop_length_m"] = float(raw)
         except ValueError:
+            meta["loop_length_m"] = math.nan  # rejected below, with the out-of-range values
+        if not 0.0 <= meta["loop_length_m"] < math.inf:
             raise InputFormatError(
-                f"{path}: loop_length_m is not a number: {meta['loop_length_m']!r}"
-            ) from None
+                f"{path}: loop_length_m must be a finite number >= 0, got {raw!r}")
     return meta
 
 
@@ -341,9 +343,14 @@ _STRING_KEYS = frozenset({"format", "recording_id", "params.detector"})
 
 
 def parse_report(text: str) -> dict[str, Any]:
-    """Parse report text back into a flat dict with original value types."""
+    """Parse report text back into a flat dict with original value types.
+    Text that is not a report is rejected before any value is read."""
+    items = list(key_values(text.splitlines(), "report", InputFormatError))
+    fmt = {key: raw for _, key, raw in items}.get("format")
+    if fmt != REPORT_FORMAT:
+        raise InputFormatError(f"not a {REPORT_FORMAT} report (format={fmt!r})")
     out: dict[str, Any] = {}
-    for lineno, key, raw in key_values(text.splitlines(), "report", InputFormatError):
+    for lineno, key, raw in items:
         if key in _STRING_KEYS:
             out[key] = raw
         elif "," in raw:
@@ -354,16 +361,14 @@ def parse_report(text: str) -> dict[str, Any]:
                     f"report:{lineno}: {key} is not a list of numbers: {raw!r}"
                 ) from None
         else:
-            for cast in (int, float, str):
+            for cast in (int, float):
                 try:
                     out[key] = cast(raw)
                     break
                 except ValueError:
                     continue
-    if out.get("format") != REPORT_FORMAT:
-        raise InputFormatError(
-            f"not a {REPORT_FORMAT} report (format={out.get('format')!r})"
-        )
+            else:
+                raise InputFormatError(f"report:{lineno}: {key} is not a number: {raw!r}")
     return out
 
 
@@ -553,7 +558,7 @@ def concat_recordings(recordings: Sequence[Recording]) -> Recording:
     have_labels = all(r.stationary is not None for r in recordings)
     t_end = None
     last_dt = None
-    for rec in recordings:
+    for i, rec in enumerate(recordings, 1):
         t = rec.t
         if len(t) >= 2:
             own_dt = float(t[1] - t[0])
@@ -562,7 +567,14 @@ def concat_recordings(recordings: Sequence[Recording]) -> Recording:
         else:
             own_dt = 1.0  # a 1-sample head segment has no period to carry
         if t_end is not None:
-            t = t + (t_end + own_dt - t[0])
+            with np.errstate(over="ignore"):
+                t = t + (t_end + own_dt - t[0])
+            if not math.isfinite(t[-1]):  # t increases, so its last entry is its largest
+                raise StreamFormatError(
+                    f"cannot concat part {i} ({rec.id}) after part {i - 1} "
+                    f"({recordings[i - 2].id}): shifting its times past the seam at "
+                    f"{t_end:.6g} s overflows"
+                )
         ts.append(t)
         accels.append(rec.accel)
         gyros.append(rec.gyro)
@@ -778,6 +790,8 @@ def _sweep_grid(args) -> list[float]:
     lo, hi, n = args.grid_lo, args.grid_hi, args.grid_points
     if not 1 <= n <= MAX_GRID_POINTS:
         raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}], got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid endpoints must be finite, got {lo} and {hi}")
     if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
         raise ConfigError(
             f"log-spaced grid endpoints must be nonzero and share a sign, "

@@ -110,37 +110,21 @@ class NoiseModel:
                 raise ValueError(f"{name} must be positive with a finite square, got {value}")
 
 
-@dataclass(frozen=True)
-class StreamDiagnostics:
-    """Result of :func:`validate_stream`."""
-
-    ok: bool
-    n_samples: int
-    median_period: float
-    max_rel_period_dev: float
-    first_bad_index: int | None
-    message: str
-
-    def raise_if_bad(self):
-        if not self.ok:
-            raise StreamFormatError(self.message, index=self.first_bad_index)
-
-
 # Largest relative deviation of a sample period from the stream's median.
 PERIOD_REL_TOL = 0.1
 
 
-def validate_stream(stream, rel_tol: float = PERIOD_REL_TOL) -> StreamDiagnostics:
+def validate_stream(stream) -> None:
     """Check monotone time, finite values, and near-uniform sampling.
 
     Accepts what :func:`stream_to_arrays` accepts. The sampling period is
-    compared against the median period; deviations beyond ``rel_tol``
-    (relative) are flagged.
+    compared against the median period; a relative deviation beyond
+    ``PERIOD_REL_TOL`` is flagged. Raises StreamFormatError whose ``index``
+    is the first offending sample (None for an empty stream).
     """
     t, accel, gyro = stream_to_arrays(stream)
-    n = len(t)
-    if n == 0:
-        return StreamDiagnostics(False, 0, math.nan, math.nan, None, "empty stream")
+    if len(t) == 0:
+        raise StreamFormatError("empty stream")
 
     bad_t = ~np.isfinite(t)
     bad_a = ~np.isfinite(accel).all(axis=1)
@@ -148,35 +132,26 @@ def validate_stream(stream, rel_tol: float = PERIOD_REL_TOL) -> StreamDiagnostic
     bad = bad_t | bad_a | bad_w
     if bad.any():
         i = int(np.argmax(bad))
-        return StreamDiagnostics(
-            False, n, math.nan, math.nan, i, f"non-finite value at sample {i}"
-        )
+        raise StreamFormatError(f"non-finite value at sample {i}", index=i)
 
-    if n == 1:
-        return StreamDiagnostics(True, 1, math.nan, 0.0, None, "ok")
+    if len(t) == 1:
+        return
 
     dt = np.diff(t)
     if (dt <= 0).any():
         i = int(np.argmax(dt <= 0)) + 1
-        return StreamDiagnostics(
-            False, n, math.nan, math.nan, i, f"non-increasing time at sample {i}"
-        )
+        raise StreamFormatError(f"non-increasing time at sample {i}", index=i)
 
     median = float(np.median(dt))
     rel_dev = np.abs(dt - median) / median
     max_dev = float(rel_dev.max())
-    if max_dev > rel_tol:
-        i = int(np.argmax(rel_dev > rel_tol)) + 1
-        return StreamDiagnostics(
-            False,
-            n,
-            median,
-            max_dev,
-            i,
+    if max_dev > PERIOD_REL_TOL:
+        i = int(np.argmax(rel_dev > PERIOD_REL_TOL)) + 1
+        raise StreamFormatError(
             f"sampling period deviates {max_dev:.1%} from median {median:.6g} s "
             f"at sample {i}",
+            index=i,
         )
-    return StreamDiagnostics(True, n, median, max_dev, None, "ok")
 
 
 def stream_to_arrays(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -41,6 +41,9 @@ _E_Z = np.array([0.0, 0.0, 1.0])
 # Default 1-sigma of the initial error state: 1 mm, 1 mm/s, 1 mrad.
 DEFAULT_INIT_STD = (1e-3, 1e-3, 1e-3)
 
+# Leading span of a stream, in seconds, that align_from_standstill levels from.
+ALIGN_SPAN_S = 1.0
+
 # Above this 1-norm condition estimate of the velocity covariance the
 # speed evidence is unreliable; callers fall back to the uninformative prior.
 XI_COND_BOUND = 1e12
@@ -131,13 +134,14 @@ def default_initial_covariance() -> NavCovariance:
     return NavCovariance(np.diag(stds**2))
 
 
-def align_from_standstill(stream, noise: NoiseModel, duration_s: float = 1.0) -> NavState:
-    """Level the platform from early standstill data: gravity fixes roll and
-    pitch, heading starts at zero (minimal rotation onto the vertical)."""
+def align_from_standstill(stream) -> NavState:
+    """Level the platform from the first ALIGN_SPAN_S of standstill data:
+    gravity fixes roll and pitch, heading starts at zero (minimal rotation
+    onto the vertical)."""
     t, accel, _ = stream_to_arrays(stream)
     if len(t) == 0:
         raise StreamFormatError("cannot align from an empty stream")
-    mask = t <= t[0] + duration_s
+    mask = t <= t[0] + ALIGN_SPAN_S
     mean = accel[mask].mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm <= 0.0 or not math.isfinite(norm):
@@ -296,12 +300,12 @@ def zupt_update(state: NavState, cov: NavCovariance,
     return NavState(p[0], v[0], q[0]), NavCovariance(P[0])
 
 
-def _xi_terms(S, v, cond_bound, maximum):
+def _xi_terms(S, v, maximum):
     """The speed evidence xi = v^T S^-1 v, elementwise over S (3 rows of 3)
     and v (3) as floats (``maximum`` = max) or arrays (np.maximum folded; the
     two differ only on NaN, which fails the rule). Returns xi clipped at 0
     and whether it stands: not where det S <= 0, the 1-norm condition
-    estimate exceeds cond_bound or a value is not finite."""
+    estimate exceeds XI_COND_BOUND or a value is not finite."""
     (a, s01, s02), (s10, d, s12), (s20, s21, f) = S
     b = 0.5 * (s01 + s10)
     c = 0.5 * (s02 + s20)
@@ -325,32 +329,31 @@ def _xi_terms(S, v, cond_bound, maximum):
     x2 = i02 * v0 + i12 * v1 + i22 * v2
     value = v0 * x0 + v1 * x1 + v2 * x2
     ok = (det > 0.0) & (det * 0.0 == 0.0) & (value * 0.0 == 0.0) \
-        & (norm_s * norm_inv <= cond_bound)  # x * 0 == 0 exactly when x is finite
+        & (norm_s * norm_inv <= XI_COND_BOUND)  # x * 0 == 0 exactly when x is finite
     return maximum(value, 0.0), ok  # clip roundoff just below zero
 
 
-def _xi(S, v, cond_bound):
+def _xi(S, v):
     """_xi_terms of one lane, S nested lists and v a list (plain floats are
     cheap per sample); NaN where it does not stand, and callers then drop
     the speed term (uninformative prior fallback)."""
     try:
-        value, ok = _xi_terms(S, v, cond_bound, max)
+        value, ok = _xi_terms(S, v, max)
     except ZeroDivisionError:  # det S == 0
         return math.nan
     return value if ok else math.nan
 
 
-def _xi_stack(S, v, cond_bound):
+def _xi_stack(S, v):
     """_xi over a stack: S (K, 3, 3), v (K, 3); NaN marks the fallback."""
     with np.errstate(all="ignore"):
-        value, ok = _xi_terms(S.transpose(1, 2, 0), v.T, cond_bound,
-                              lambda *xs: reduce(np.maximum, xs))
+        value, ok = _xi_terms(S.transpose(1, 2, 0), v.T, lambda *xs: reduce(np.maximum, xs))
     return np.where(ok, value, np.nan)
 
 
-def xi(state: NavState, cov: NavCovariance, cond_bound: float = XI_COND_BOUND):
+def xi(state: NavState, cov: NavCovariance):
     """Public form of the speed evidence; None signals the fallback."""
-    value = _xi(cov.P[3:6, 3:6].tolist(), state.v.tolist(), cond_bound)
+    value = _xi(cov.P[3:6, 3:6].tolist(), state.v.tolist())
     return None if math.isnan(value) else value
 
 
@@ -438,8 +441,7 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
                 if k >= first_window:
                     for c in xi_lanes:
                         for r in range(active):
-                            xi_buf[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist(),
-                                               XI_COND_BOUND)
+                            xi_buf[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist())
                     lg = log_threshold(coef, ts[k] - t_last, xi_buf if xi_lanes else None)
                     lgam[k] = lg
                     fire = logls[k] > lg  # NaN never passes
@@ -518,15 +520,14 @@ def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.n
                         raise NumericalError("state became non-finite in a coast")
                     p, v, q, P = (x[None, None] for x in end)
                     sel = xi_mask[a + 1:u]
-                    xis.append(_xi_stack(Pvv[sel], vs[sel], XI_COND_BOUND))
+                    xis.append(_xi_stack(Pvv[sel], vs[sel]))
                 if u == len(t):
                     break
                 k = u
                 p, v, q, P = _propagate(p, v, q, P, accel[u - 1:u], dq[u:u + 1], dt[u:u + 1],
                                         g_vec, q_rate[None, None])
                 if xi_mask[u]:
-                    xis.append([_xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(),
-                                    XI_COND_BOUND)])
+                    xis.append([_xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist())])
                 p, v, q, P = _zupt(p, v, q, P, r_var)
                 a = u
         except (FloatingPointError, NumericalError) as exc:
@@ -580,12 +581,12 @@ def run_recordings(
         t, accel, gyro = stream_to_arrays(stream)
         if len(t) < 2:
             raise StreamFormatError("pipeline needs at least 2 samples")
-        validate_stream((t, accel, gyro)).raise_if_bad()
+        validate_stream((t, accel, gyro))
         spec = get_detector(detector)
         logls.append(spec.trace(accel, gyro, window_samples, noise))
         pns.append(derived_process_noise(noise, t) if pn is None else pn)
         if init is None:
-            states.append(align_from_standstill((t, accel, gyro), noise))
+            states.append(align_from_standstill((t, accel, gyro)))
         else:
             states.append(init if isinstance(init, NavState) else init[0])
         ts.append(t)

@@ -32,52 +32,32 @@ from .errors import CalibrationDataError, ConfigError
 _PRIOR_MIN = sys.float_info.min
 _PRIOR_MAX = math.nextafter(1.0, 0.0)
 
-PRIOR_MODES = ("informative", "uninformative")
-
 
 @dataclass(frozen=True)
 class LossParams:
-    """Exponential loss factor: eta(dt) = max(alpha * exp(-theta * dt), floor).
-
-    ``floor`` puts a lower limit on the factor; 0 disables it.
-    """
+    """Exponential loss factor: eta(dt) = alpha * exp(-theta * dt)."""
 
     alpha: float
     theta: float
-    floor: float = 0.0
 
     def __post_init__(self):
         if not (self.alpha > 0.0) or not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be positive and finite, got {self.alpha}")
         if self.theta < 0.0 or not math.isfinite(self.theta):
             raise ConfigError(f"theta must be finite and >= 0, got {self.theta}")
-        if self.floor < 0.0 or not math.isfinite(self.floor):
-            raise ConfigError(f"floor must be finite and >= 0, got {self.floor}")
 
 
 @dataclass(frozen=True)
 class PriorParams:
-    """Stationary-hypothesis prior.
-
-    Informative mode: p(stationary) = 1 / (1 + exp(beta1 * xi + beta2)).
-    Uninformative mode: exactly 1/2 regardless of xi or the betas.
-    """
+    """Stationary-hypothesis prior p(stationary) = 1 / (1 + exp(beta1 * xi + beta2)).
+    The uninformative prior is the default beta1 = beta2 = 0: exactly 1/2."""
 
     beta1: float = 0.0
     beta2: float = 0.0
-    mode: str = "informative"
 
     def __post_init__(self):
         if not math.isfinite(self.beta1) or not math.isfinite(self.beta2):
             raise ConfigError(f"prior coefficients must be finite, got {self}")
-        if self.mode not in PRIOR_MODES:
-            raise ConfigError(
-                f"prior mode must be one of {PRIOR_MODES}, got {self.mode!r}"
-            )
-
-    @classmethod
-    def uninformative(cls) -> "PriorParams":
-        return cls(0.0, 0.0, "uninformative")
 
 
 @dataclass(frozen=True)
@@ -104,23 +84,19 @@ class ThresholdParams:
 
 
 def loss_factor(loss: LossParams, dt: float) -> float:
-    """eta(dt) = max(alpha * exp(-theta * dt), floor)."""
+    """eta(dt) = alpha * exp(-theta * dt)."""
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
-    return max(loss.alpha * math.exp(-loss.theta * dt), loss.floor)
+    return loss.alpha * math.exp(-loss.theta * dt)
 
 
 def hypothesis_prior(prior: PriorParams, xi: float) -> float:
-    """Prior probability of the stationary hypothesis.
-
-    Informative mode evaluates the logistic in beta1 * xi + beta2, clamped
-    into the open unit interval so log-odds downstream stay finite.
-    Uninformative mode returns exactly 1/2 and ignores xi.
+    """Prior probability of the stationary hypothesis: the logistic in
+    beta1 * xi + beta2, clamped into the open unit interval so log-odds
+    downstream stay finite.
     """
-    if prior.mode == "uninformative":
-        return 0.5
     if xi < 0.0:
-        raise ValueError(f"xi must be >= 0 with an informative prior, got {xi}")
+        raise ValueError(f"xi must be >= 0, got {xi}")
     z = prior.beta1 * xi + prior.beta2
     if z >= 0.0:
         ez = math.exp(-z)
@@ -140,15 +116,8 @@ def threshold_from_bayes(
 
 
 def params_from_bayes(loss: LossParams, prior: PriorParams) -> ThresholdParams:
-    """Collapse a loss/prior model into direct threshold coefficients.
-
-    Informative prior: c1 = beta2 + log(alpha), c2 = -theta, c3 = beta1.
-    Uninformative prior: the log-odds term is identically 0, so
-    c1 = log(alpha), c2 = -theta, c3 = 0. Valid while the loss floor does
-    not bind; a binding floor has no direct-form equivalent.
-    """
-    if prior.mode == "uninformative":
-        return ThresholdParams(c1=math.log(loss.alpha), c2=-loss.theta, c3=0.0)
+    """Collapse a loss/prior model into direct threshold coefficients:
+    c1 = beta2 + log(alpha), c2 = -theta, c3 = beta1."""
     return ThresholdParams(
         c1=prior.beta2 + math.log(loss.alpha), c2=-loss.theta, c3=prior.beta1
     )

@@ -72,7 +72,7 @@ class TestAcceptance:
     def test_criterion_1_threshold_composition_identity(self):
         """The composed coefficients reproduce log((1-p)/p * eta) exactly.
 
-        10^4 seeded draws with the loss floor disabled. The draw ranges keep
+        10^4 seeded draws. The draw ranges keep
         both computation routes well-conditioned: the direct route loses
         precision once the prior saturates (1 - p cancels when
         |beta1 * xi + beta2| grows past ~9, pushing its error above the
@@ -87,8 +87,8 @@ class TestAcceptance:
             beta2 = rng.uniform(-2.0, 2.0)
             dt = rng.uniform(0.0, 4.0)
             xi = rng.uniform(0.0, 4.0)
-            loss = LossParams(alpha=alpha, theta=theta, floor=0.0)
-            prior = PriorParams(beta1=beta1, beta2=beta2, mode="informative")
+            loss = LossParams(alpha=alpha, theta=theta)
+            prior = PriorParams(beta1=beta1, beta2=beta2)
             eta = loss_factor(loss, dt)
             p = hypothesis_prior(prior, xi)
             direct = math.log((1.0 - p) / p * eta)

@@ -392,7 +392,7 @@ def test_config_text_round_trips(cfg):
 
 
 @given(rec_id=_VALUE_TEXT, gait_tag=st.none() | _VALUE_TEXT,
-       loop_length_m=st.none() | st.floats(allow_nan=False, allow_infinity=False))
+       loop_length_m=st.none() | st.floats(min_value=0.0, allow_infinity=False))
 @settings(max_examples=100, deadline=None)
 def test_meta_round_trips(input_file, rec_id, gait_tag, loop_length_m):
     rec = Recording(id=rec_id, t=np.zeros(1), accel=np.zeros((1, 3)), gyro=np.zeros((1, 3)),
@@ -549,6 +549,8 @@ class TestRunAndReport:
             parse_report("\n".join(lines))
         with pytest.raises(InputFormatError, match="report:2: expected key=value"):
             parse_report("format=zvnav-report-v1\nfinal_position_m\n")
+        with pytest.raises(InputFormatError, match="report:2: zupt_count is not a number: 'x'"):
+            parse_report("format=zvnav-report-v1\nzupt_count=x\n")
 
     def test_runs_are_deterministic(self, walk_rec):
         cfg = default_config()
@@ -658,6 +660,14 @@ class TestSweep:
             assert main(["sweep", str(csv), "--grid-points", str(n)]) == 3
             assert f"--grid-points must lie in [1, {MAX_GRID_POINTS}]" in capsys.readouterr().err
 
+    def test_nonfinite_grid_endpoint_exits_3(self, walk_files, capsys):
+        csv, _ = walk_files
+        for lo, hi in (("-inf", "-6000"), ("-20", "-inf"), ("nan", "6000")):
+            code = main(["sweep", str(csv), f"--grid-lo={lo}", f"--grid-hi={hi}",
+                         "--grid-points", "3"])
+            assert code == 3
+            assert "grid endpoints must be finite" in capsys.readouterr().err
+
     def test_empty_grid_rejected(self, walk_rec):
         with pytest.raises(ConfigError, match="non-empty"):
             cmd_sweep([walk_rec], default_config(), [])
@@ -698,6 +708,18 @@ class TestConcat:
         err = capsys.readouterr().err
         assert "part 1 (fast250, median period 0.004 s)" in err
         assert "part 2 (slow100, median period 0.01 s)" in err
+
+    def test_time_overflow_exits_2_naming_part_and_seam(self, walk_rec, tmp_path, capsys):
+        slow = tmp_path / "slow.csv"
+        write_recording_csv(str(slow), dataclasses.replace(
+            walk_rec, t=np.arange(30) * 5.5e306, accel=walk_rec.accel[:30],
+            gyro=walk_rec.gyro[:30], stationary=None))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["concat", str(slow), str(slow)]) == 2
+        err = capsys.readouterr().err
+        assert "part 2 (slow) after part 1 (slow)" in err
+        assert "seam at 1.595e+308 s" in err
 
     def test_empty_concat_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
@@ -975,6 +997,15 @@ class TestMainEntry:
         assert main(["sweep", str(csv), "--grid=-20"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("\t")[2] for line in lines[1:]] == ["normal"] * 2 + ["all"] * 2
+
+    def test_bad_loop_length_exits_2_naming_meta(self, walk_files, capsys):
+        csv, _ = walk_files
+        meta = csv.with_suffix(".meta")
+        for value in ("nan", "inf", "-1.0", "x"):
+            meta.write_text(f"loop_length_m={value}\n", encoding="utf-8")
+            assert main(["sweep", str(csv), "--grid=-20"]) == 2
+            err = capsys.readouterr().err
+            assert f"{meta}: loop_length_m must be a finite number >= 0, got {value!r}" in err
 
     def test_nan_label_time_exits_2(self, walk_files, capsys):
         csv, labels = walk_files

@@ -144,44 +144,39 @@ class TestSlidingWindows:
 
 class TestValidateStream:
     def test_uniform_stream_ok(self):
-        diag = validate_stream(_stream(100, fs=250.0))
-        assert diag.ok
-        assert diag.median_period == pytest.approx(0.004, rel=1e-9)
-        diag.raise_if_bad()
+        validate_stream(_stream(100, fs=250.0))
 
     def test_nan_component_flagged(self):
         t = np.arange(10) / 250.0
         accel = np.tile([0.0, 0.0, 9.81], (10, 1))
         gyro = np.zeros((10, 3))
         accel[4, 1] = np.nan
-        diag = validate_stream((t, accel, gyro))
-        assert not diag.ok
-        assert diag.first_bad_index == 4
-        with pytest.raises(StreamFormatError):
-            diag.raise_if_bad()
+        with pytest.raises(StreamFormatError, match="^non-finite value at sample 4$") as err:
+            validate_stream((t, accel, gyro))
+        assert err.value.index == 4
 
     def test_duplicate_timestamp_flagged(self):
         t = np.arange(10) / 250.0
         t[6] = t[5]
         accel = np.tile([0.0, 0.0, 9.81], (10, 1))
         gyro = np.zeros((10, 3))
-        diag = validate_stream((t, accel, gyro))
-        assert not diag.ok
-        assert diag.first_bad_index == 6
-        assert "non-increasing" in diag.message
+        with pytest.raises(StreamFormatError, match="^non-increasing time at sample 6$") as err:
+            validate_stream((t, accel, gyro))
+        assert err.value.index == 6
 
     def test_rate_gap_flagged(self):
         t = np.arange(20) / 250.0
         t[10:] += 0.05  # dropped packets
         accel = np.tile([0.0, 0.0, 9.81], (20, 1))
         gyro = np.zeros((20, 3))
-        diag = validate_stream((t, accel, gyro))
-        assert not diag.ok
-        assert diag.first_bad_index == 10
+        with pytest.raises(StreamFormatError, match="from median 0.004 s at sample 10$") as err:
+            validate_stream((t, accel, gyro))
+        assert err.value.index == 10
 
     def test_empty_stream(self):
-        diag = validate_stream(_stream(0))
-        assert not diag.ok
+        with pytest.raises(StreamFormatError, match="^empty stream$") as err:
+            validate_stream(_stream(0))
+        assert err.value.index is None
 
 
 def test_stream_array_round_trip():

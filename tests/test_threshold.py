@@ -41,9 +41,6 @@ class TestLossFactor:
             13.533528323661270, rel=1e-14
         )
 
-    def test_floor_binds(self):
-        assert loss_factor(LossParams(100.0, 2.0, floor=20.0), 1.0) == 20.0
-
     def test_negative_dt_rejected(self):
         with pytest.raises(ValueError):
             loss_factor(LossParams(100.0, 2.0), -0.1)
@@ -54,7 +51,7 @@ class TestLossFactor:
             dict(alpha=0.0, theta=1.0),
             dict(alpha=-5.0, theta=1.0),
             dict(alpha=1.0, theta=-0.5),
-            dict(alpha=1.0, theta=1.0, floor=-1.0),
+            dict(alpha=1.0, theta=math.inf),
             dict(alpha=math.inf, theta=1.0),
         ],
     )
@@ -80,17 +77,9 @@ class TestHypothesisPrior:
         assert 0.0 < hypothesis_prior(PriorParams(1.0, 0.0), 1e6) < 1.0
         assert 0.0 < hypothesis_prior(PriorParams(0.0, -1e6), 0.0) < 1.0
 
-    def test_uninformative_ignores_everything(self):
-        prior = PriorParams(5.0, -3.0, "uninformative")
-        assert hypothesis_prior(prior, 123.0) == 0.5
-
     def test_negative_xi_rejected_when_informative(self):
         with pytest.raises(ValueError):
             hypothesis_prior(PriorParams(1.0, 0.0), -1.0)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError):
-            PriorParams(0.0, 0.0, "agnostic")
 
 
 class TestLogThreshold:
@@ -171,11 +160,11 @@ class TestCrossRouteIdentity:
 
     def test_uninformative_mapping(self):
         loss = LossParams(50.0, 1.5)
-        params = params_from_bayes(loss, PriorParams.uninformative())
+        params = params_from_bayes(loss, PriorParams())
         assert params.c1 == math.log(50.0)
         assert params.c2 == -1.5
         assert params.c3 == 0.0
-        composed = threshold_from_bayes(loss, PriorParams.uninformative(), 2.0, 77.0)
+        composed = threshold_from_bayes(loss, PriorParams(), 2.0, 77.0)
         assert composed == pytest.approx(log_threshold(params, 2.0, 77.0), abs=1e-12)
 
 
