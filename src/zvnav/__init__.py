@@ -1,13 +1,11 @@
 """Zero-velocity-aided inertial navigation with an adaptive stance detector."""
 
 from .core import (
-    ImuSample,
-    ImuWindow,
     NoiseModel,
     Recording,
     validate_stream,
 )
-from .detectors import LogLikelihoodRatio, are_log_lr, shoe_log_lr
+from .detectors import are_log_lr, shoe_log_lr
 from .gaitsim import (
     GaitProfile,
     LabeledRecording,
@@ -18,15 +16,11 @@ from .gaitsim import (
     simulate,
 )
 from .ins import (
-    NavCovariance,
     NavState,
     ProcessNoise,
     RunReport,
     align_from_standstill,
-    propagate,
     run_pipeline,
-    xi,
-    zupt_update,
 )
 from .threshold import (
     LossParams,
@@ -41,12 +35,9 @@ from .threshold import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ImuSample",
-    "ImuWindow",
     "NoiseModel",
     "Recording",
     "validate_stream",
-    "LogLikelihoodRatio",
     "shoe_log_lr",
     "are_log_lr",
     "LossParams",
@@ -57,13 +48,9 @@ __all__ = [
     "log_threshold",
     "calibrate",
     "NavState",
-    "NavCovariance",
     "ProcessNoise",
     "RunReport",
     "align_from_standstill",
-    "propagate",
-    "zupt_update",
-    "xi",
     "run_pipeline",
     "GaitProfile",
     "LabeledRecording",

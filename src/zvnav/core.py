@@ -1,4 +1,4 @@
-"""Shared data model for IMU streams, windows, and noise parameters.
+"""Shared data model for IMU streams, recordings, and noise parameters.
 
 Units are SI throughout: seconds, m/s^2, rad/s. The navigation frame is
 z-up; a body at rest with identity attitude measures a specific force of
@@ -15,71 +15,6 @@ import numpy as np
 from .errors import StreamFormatError
 
 GRAVITY_DEFAULT = 9.81  # m/s^2, configurable everywhere it is used
-
-
-def _as_vec3(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {v.shape}")
-    return v
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    """One IMU measurement.
-
-    Parameters
-    ----------
-    t : float
-        Sample time in seconds, non-negative.
-    accel : array_like, shape (3,)
-        Specific force in m/s^2.
-    gyro : array_like, shape (3,)
-        Angular rate in rad/s.
-    """
-
-    t: float
-    accel: np.ndarray
-    gyro: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "accel", _as_vec3(self.accel, "accel"))
-        object.__setattr__(self, "gyro", _as_vec3(self.gyro, "gyro"))
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise ValueError(f"sample time must be finite and non-negative, got {self.t}")
-        if not (np.isfinite(self.accel).all() and np.isfinite(self.gyro).all()):
-            raise ValueError("sample components must be finite")
-
-
-@dataclass(frozen=True)
-class ImuWindow:
-    """A fixed-length run of consecutive samples; detector statistics are per window.
-
-    ``start_index`` is the stream position of the first sample, so the window
-    built at stream position n covers samples n .. n+len-1.
-    """
-
-    samples: tuple[ImuSample, ...]
-    start_index: int
-
-    def __post_init__(self):
-        if len(self.samples) < 1:
-            raise ValueError("window must contain at least one sample")
-        times = [s.t for s in self.samples]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise StreamFormatError("window sample times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def accel_matrix(self) -> np.ndarray:
-        """Stacked accelerometer samples, shape (N, 3)."""
-        return np.array([s.accel for s in self.samples])
-
-    def gyro_matrix(self) -> np.ndarray:
-        """Stacked gyroscope samples, shape (N, 3)."""
-        return np.array([s.gyro for s in self.samples])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Log-likelihood-ratio statistics for zero-velocity detection.
 
-Both detectors score a window of IMU samples; larger (less negative)
-values favor the stationary hypothesis. Additive constants from the
+Both detectors score every causal window of a stream at once, and one
+window as the last entry of that trace; larger (less negative) values
+favor the stationary hypothesis. Additive constants from the
 moving-hypothesis model are set to zero: they shift every window by the
 same amount and are absorbed by the threshold intercept during
 calibration, so decisions are unaffected.
@@ -15,7 +16,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import ImuWindow, NoiseModel
+from .core import NoiseModel
 from .errors import DegenerateWindowError
 
 # Window-mean accelerometer norms at or below this are treated as degenerate:
@@ -23,64 +24,30 @@ from .errors import DegenerateWindowError
 DEGENERATE_NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LogLikelihoodRatio:
-    """Detector statistic for one window; ``window_index`` is the start index."""
-
-    value: float
-    window_index: int
-
-
-def shoe_log_lr(window: ImuWindow, noise: NoiseModel) -> LogLikelihoodRatio:
-    """Stance-hypothesis detector statistic for one window.
-
-    Computes
+def shoe_log_lr(accel: np.ndarray, gyro: np.ndarray, noise: NoiseModel) -> float:
+    """Stance-hypothesis statistic of one window, its rows accel, gyro (n, 3):
 
         log L = -1/2 * sum_k [ ||a_k - g*u||^2 / sigma_a^2
                                + ||w_k||^2 / sigma_w^2 ]
 
-    where u is the unit vector along the window-mean accelerometer reading.
-    Always <= 0; zero only when every residual vanishes exactly.
-
-    Raises
-    ------
-    DegenerateWindowError
-        If the window-mean accelerometer vector has zero norm. Callers
-        scoring a stream may substitute the previous window's direction;
-        :func:`shoe_log_lr_trace` does exactly that.
-
-    The value is :func:`shoe_log_lr_trace` over the window alone, so the
-    statistic has one formula.
-    """
-    accel = window.accel_matrix()
-    if np.linalg.norm(accel.mean(axis=0)) <= DEGENERATE_NORM_TOL:
-        raise _no_direction(window.start_index)
-    value = shoe_log_lr_trace(accel, window.gyro_matrix(), len(window), noise)[-1]
-    return LogLikelihoodRatio(float(value), window.start_index)
+    u the unit vector along the window-mean accelerometer reading; always
+    <= 0. It is the last entry of :func:`shoe_log_lr_trace` over the rows, so
+    the formula exists once, and raises DegenerateWindowError where u is
+    undefined (zero mean norm)."""
+    return float(shoe_log_lr_trace(accel, gyro, len(accel), noise)[-1])
 
 
-def are_log_lr(window: ImuWindow, noise: NoiseModel) -> LogLikelihoodRatio:
-    """Angular-rate-energy detector statistic for one window.
-
-    log L = -1/2 * sum_k ||w_k||^2 / sigma_w^2. Equals the gyro term of
-    :func:`shoe_log_lr` on the same window. The value is
-    :func:`are_log_lr_trace` over the window alone.
-    """
-    value = are_log_lr_trace(
-        window.accel_matrix(), window.gyro_matrix(), len(window), noise
-    )[-1]
-    return LogLikelihoodRatio(float(value), window.start_index)
-
-
-def _no_direction(start: int) -> DegenerateWindowError:
-    return DegenerateWindowError(
-        f"window at index {start}: mean accelerometer norm is zero"
-    )
+def are_log_lr(accel: np.ndarray, gyro: np.ndarray, noise: NoiseModel) -> float:
+    """Angular-rate-energy statistic of one window, -1/2 * sum_k ||w_k||^2 /
+    sigma_w^2 (the gyro term of :func:`shoe_log_lr`): the last entry of
+    :func:`are_log_lr_trace` over the rows."""
+    return float(are_log_lr_trace(accel, gyro, len(accel), noise)[-1])
 
 
 def check_gravity_direction(accel: np.ndarray, starts: np.ndarray, n: int) -> None:
-    """Raise as :func:`shoe_log_lr` would for the first of the windows
-    starting at ``starts`` whose mean accelerometer vector has zero norm.
+    """Raise DegenerateWindowError, naming its start index, for the first of
+    the n-sample windows starting at ``starts`` whose mean accelerometer
+    vector has zero norm.
 
     :func:`shoe_log_lr_trace` carries a direction across such windows, so
     code that reads scores from a trace checks here the windows that must
@@ -89,7 +56,9 @@ def check_gravity_direction(accel: np.ndarray, starts: np.ndarray, n: int) -> No
     means = sliding_window_view(accel, n, axis=0)[starts].mean(axis=2)
     bad = np.flatnonzero(np.linalg.norm(means, axis=1) <= DEGENERATE_NORM_TOL)
     if bad.size:
-        raise _no_direction(int(starts[bad[0]]))
+        raise DegenerateWindowError(
+            f"window at index {int(starts[bad[0]])}: mean accelerometer norm is zero"
+        )
 
 
 def _window_views(accel, gyro, n):
@@ -157,10 +126,13 @@ def are_log_lr_trace(
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """A named detector: per-window form plus the vectorized stream form."""
+    """A named detector: its one-window form ``(accel, gyro, noise) -> float``
+    and its vectorized stream form ``(accel, gyro, n, noise) -> trace``."""
 
     name: str
-    per_window: Callable[[ImuWindow, NoiseModel], LogLikelihoodRatio]
+    # No library code scores single windows; the field stays because
+    # perfbench/spans.py builds DetectorSpec positionally with three fields.
+    per_window: Callable[[np.ndarray, np.ndarray, NoiseModel], float]
     trace: Callable[[np.ndarray, np.ndarray, int, NoiseModel], np.ndarray]
 
 

@@ -78,24 +78,6 @@ class NavState:
 
 
 @dataclass(frozen=True)
-class NavCovariance:
-    """9x9 covariance of the error state [dp, dv, dpsi]."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
-        if P.shape != (9, 9):
-            raise ValueError(f"covariance must be 9x9, got {P.shape}")
-        if not np.isfinite(P).all():
-            raise ValueError("covariance must be finite")
-        asym = float(np.abs(P - P.T).max())
-        if asym > 1e-9 * (1.0 + float(np.abs(P).max())):
-            raise ValueError(f"covariance asymmetry {asym} exceeds tolerance")
-        object.__setattr__(self, "P", P)
-
-
-@dataclass(frozen=True)
 class ProcessNoise:
     """Continuous-time white-noise densities driving the error state."""
 
@@ -131,9 +113,10 @@ def derived_process_noise(noise: NoiseModel, t: np.ndarray) -> ProcessNoise:
     return ProcessNoise.from_sample_noise(noise, rate)
 
 
-def default_initial_covariance() -> NavCovariance:
+def default_initial_covariance() -> np.ndarray:
+    """9x9 covariance of the initial error state [dp, dv, dpsi]."""
     stds = np.repeat(np.asarray(DEFAULT_INIT_STD, dtype=float), 3)
-    return NavCovariance(np.diag(stds**2))
+    return np.diag(stds**2)
 
 
 def align_from_standstill(stream) -> NavState:
@@ -190,7 +173,8 @@ def _propagate(p, v, q, P, accel, dq, dt, g_vec, q_rate):
     recordings: p, v (R, C, 3), q (R, C, 4), P (R, C, 9, 9). A recording's
     specific force accel (R, 3), gyro increment dq = exp(gyro * dt) (R, 4),
     dt (R,) and covariance growth rate q_rate (R, 1, 9, 9) are shared by its
-    C lanes. Returns new arrays."""
+    C lanes. Velocity uses the pre-step attitude, position the post-step
+    velocity. Returns new arrays."""
     R, C = q.shape[:2]
     qq = (q[..., :, None] * q[..., None, :]).reshape(R, C, 16)
     f_nav = qq @ (accel @ _ROT_A).reshape(R, 16, 3)
@@ -205,10 +189,12 @@ def _propagate(p, v, q, P, accel, dq, dt, g_vec, q_rate):
 
 
 def _zupt(p, v, q, P, r_var):
-    """Zero-velocity update for a stack of lanes of any leading shape (see
-    zupt_update). P is symmetric, so K^T = S^-1 H P, and the Joseph form
-    (I - K H) P (I - K H)^T + r K K^T is built from the velocity rows and
-    columns: A = P - K H P, then A - (A H^T) K^T + r K K^T."""
+    """Zero-velocity update (z = 0 - v_hat, H = [0 I 0], noise r_var) for a
+    stack of lanes of any leading shape; the error folds into the nominal
+    state, attitude by left-multiplying its small-angle quaternion. P is
+    symmetric, so K^T = S^-1 H P, and the Joseph form (I - K H) P (I - K H)^T
+    + r K K^T is built from the velocity rows and columns: A = P - K H P, then
+    A - (A H^T) K^T + r K K^T."""
     S = P[..., 3:6, 3:6] + r_var * _EYE3
     try:
         Kt = np.linalg.inv(S) @ P[..., 3:6, :]
@@ -267,41 +253,6 @@ def _coast(p, v, q, P, G, fb, dt, g_vec, q_rate):
     return p, vs[-1], q, 0.5 * (P + P.T), vs, Pvv
 
 
-def propagate(state: NavState, cov: NavCovariance, sample, dt: float, noise: NoiseModel,
-              pn: ProcessNoise) -> tuple[NavState, NavCovariance]:
-    """Integrate one IMU sample over dt and grow the covariance.
-
-    Velocity uses the pre-step attitude; position uses the post-step
-    velocity; the quaternion advances by the exact exponential of
-    gyro * dt. dt must be positive.
-    """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    dt = float(dt)
-    gyro = np.asarray(sample.gyro, dtype=float)
-    p, v, q, P = _propagate(
-        state.p[None, None], state.v[None, None], state.q[None, None], cov.P[None, None],
-        np.asarray(sample.accel, dtype=float)[None], quat_from_rotvec(gyro * dt)[None],
-        np.array([dt]), np.array([0.0, 0.0, -noise.gravity_mag]), _process_rate(pn),
-    )
-    return NavState(p[0, 0], v[0, 0], q[0, 0]), NavCovariance(P[0, 0])
-
-
-def zupt_update(state: NavState, cov: NavCovariance,
-                noise: NoiseModel) -> tuple[NavState, NavCovariance]:
-    """Apply the pseudo-measurement "velocity is zero" (noise sigma_zupt).
-
-    Measurement z = 0 - v_hat with H = [0 I 0]; the estimated error is
-    folded into the nominal state (attitude by left-multiplying the
-    small-angle quaternion) and the covariance follows the Joseph form,
-    then is symmetrized.
-    """
-    p, v, q, P = _zupt(
-        state.p[None], state.v[None], state.q[None], cov.P[None], noise.sigma_zupt**2
-    )
-    return NavState(p[0], v[0], q[0]), NavCovariance(P[0])
-
-
 def _xi_terms(S, v, maximum):
     """The speed evidence xi = v^T S^-1 v, elementwise over S (3 rows of 3)
     and v (3) as floats (``maximum`` = max) or arrays (np.maximum folded; the
@@ -351,12 +302,6 @@ def _xi_stack(S, v):
     with np.errstate(all="ignore"):
         value, ok = _xi_terms(S.transpose(1, 2, 0), v.T, lambda *xs: reduce(np.maximum, xs))
     return np.where(ok, value, np.nan)
-
-
-def xi(state: NavState, cov: NavCovariance):
-    """Public form of the speed evidence; None signals the fallback."""
-    value = _xi(cov.P[3:6, 3:6].tolist(), state.v.tolist())
-    return None if math.isnan(value) else value
 
 
 class _LaneTraces(NamedTuple):
@@ -412,7 +357,7 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
 
     p, v, q = (np.repeat(np.array([getattr(s, x) for s in state0])[:, None], C, 1)
                for x in "pvq")
-    P = np.tile(cov0.P, (R, C, 1, 1))
+    P = np.tile(cov0, (R, C, 1, 1))
     trajectory = np.empty((n, R, C, 3))
     decisions = np.zeros((n, R, C), dtype=bool)
     log_gamma = np.full((n, R, C), np.nan)
@@ -486,7 +431,7 @@ def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.n
     q_rate = _process_rate(pn)
     r_var = noise.sigma_zupt**2
     # the state as a stack of one lane on one recording, as _propagate takes it
-    p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, cov0.P))
+    p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, cov0))
     xis = []
     a = 0  # the last update, or the start
     updates = (np.flatnonzero(np.asarray(zupts[1:], dtype=bool)) + 1).tolist()
@@ -544,18 +489,16 @@ class RunReport:
 
 def run_recordings(
     streams, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
-    init=None, *, window_samples: int = 5, recording_ids=None,
+    *, window_samples: int = 5, recording_ids=None,
 ) -> list[list[RunReport]]:
     """Run detector + filter over each stream once per ThresholdParams in
     ``lanes``, stepping every (stream, lane) pair together in one loop.
     Returns, per stream in order, one report per lane in order.
 
     Validation, the detector trace, the process noise (when ``pn`` is None)
-    and the initial state are computed per stream, in order, so the first
+    and the initial state (levelled from the stream's first second, with
+    the default covariance) are computed per stream, in order, so the first
     bad stream raises. Streams may differ in length and sample rate.
-    ``init`` applies to every stream: None (level each from its first
-    second of data, default covariance), a NavState (default covariance),
-    or a (NavState, NavCovariance) pair.
     """
     if not streams:
         return []
@@ -569,15 +512,11 @@ def run_recordings(
         spec = get_detector(detector)
         logls.append(spec.trace(accel, gyro, window_samples, noise))
         pns.append(derived_process_noise(noise, t) if pn is None else pn)
-        if init is None:
-            states.append(align_from_standstill((t, accel, gyro)))
-        else:
-            states.append(init if isinstance(init, NavState) else init[0])
+        states.append(align_from_standstill((t, accel, gyro)))
         ts.append(t)
         accels.append(accel)
         gyros.append(gyro)
-    cov0 = default_initial_covariance() if init is None or isinstance(init, NavState) \
-        else init[1]
+    cov0 = default_initial_covariance()
 
     try:
         out = _filter_lanes(ts, accels, gyros, states, cov0, noise, pns, window_samples - 1,
@@ -624,12 +563,12 @@ def run_recordings(
 
 
 def run_pipeline(stream, detector, threshold_params: ThresholdParams, noise: NoiseModel,
-                 pn: ProcessNoise | None = None, init=None, *, window_samples: int = 5,
+                 pn: ProcessNoise | None = None, *, window_samples: int = 5,
                  recording_id: str = "") -> RunReport:
     """Run detector + filter over one stream and report traces and drift:
     run_recordings with the one stream ``stream`` and the one lane
     ``threshold_params``; ``recording_id`` names it."""
-    ((report,),) = run_recordings([stream], detector, [threshold_params], noise, pn, init,
+    ((report,),) = run_recordings([stream], detector, [threshold_params], noise, pn,
                                   window_samples=window_samples,
                                   recording_ids=[recording_id])
     return report

@@ -85,8 +85,8 @@ class ThresholdParams:
 
 def loss_factor(loss: LossParams, dt: float) -> float:
     """eta(dt) = alpha * exp(-theta * dt)."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     return loss.alpha * math.exp(-loss.theta * dt)
 
 
@@ -95,8 +95,8 @@ def hypothesis_prior(prior: PriorParams, xi: float) -> float:
     beta1 * xi + beta2, clamped into the open unit interval so log-odds
     downstream stay finite.
     """
-    if xi < 0.0:
-        raise ValueError(f"xi must be >= 0, got {xi}")
+    if not 0.0 <= xi < math.inf:
+        raise ValueError(f"xi must be finite and >= 0, got {xi}")
     z = prior.beta1 * xi + prior.beta2
     if z >= 0.0:
         ez = math.exp(-z)
@@ -111,8 +111,8 @@ def threshold_from_bayes(
 ) -> float:
     """Composed route: log gamma = log eta(dt) + log((1 - p) / p), with
     log eta = log(alpha) - theta * dt, which cannot underflow as eta can."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
+    if not 0.0 <= dt < math.inf:
+        raise ValueError(f"dt must be finite and >= 0, got {dt}")
     p = hypothesis_prior(prior, xi)
     return math.log(loss.alpha) - loss.theta * dt + math.log((1.0 - p) / p)
 

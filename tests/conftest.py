@@ -1,17 +1,12 @@
 import numpy as np
 import pytest
 
-from zvnav.core import ImuSample, ImuWindow, NoiseModel
+from zvnav.core import NoiseModel
 
 
 @pytest.fixture
 def noise():
     return NoiseModel(sigma_a=0.5, sigma_w=0.05, gravity_mag=9.81, sigma_zupt=0.01)
-
-
-def make_samples(t, accel, gyro):
-    """Zip arrays into ImuSample objects."""
-    return [ImuSample(float(ti), a, g) for ti, a, g in zip(t, accel, gyro)]
 
 
 def uniform_stream(rng, n, fs=250.0, accel_scale=1.0, gyro_scale=0.1, around_g=9.81):
@@ -21,10 +16,3 @@ def uniform_stream(rng, n, fs=250.0, accel_scale=1.0, gyro_scale=0.1, around_g=9
     gyro = gyro_scale * rng.standard_normal((n, 3))
     return t, accel, gyro
 
-
-def window_of(accel_rows, gyro_rows, start_index=0, dt=0.004):
-    samples = tuple(
-        ImuSample(start_index * dt + i * dt, a, g)
-        for i, (a, g) in enumerate(zip(accel_rows, gyro_rows))
-    )
-    return ImuWindow(samples, start_index)

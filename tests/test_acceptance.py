@@ -14,17 +14,19 @@ import pytest
 
 from zvnav.cli import cmd_sweep
 from zvnav.config import merge_config
-from zvnav.core import ImuSample, ImuWindow, NoiseModel
+from zvnav.core import NoiseModel
 from zvnav.detectors import are_log_lr, shoe_log_lr, shoe_log_lr_trace
 from zvnav.gaitsim import extract_calibration_sets, make_corpus, normal_profile, simulate
 from zvnav.ins import (
     NavState,
     ProcessNoise,
+    _process_rate,
+    _propagate,
+    _zupt,
     default_initial_covariance,
-    propagate,
     run_pipeline,
-    zupt_update,
 )
+from zvnav.quat import quat_from_rotvec
 from zvnav.threshold import (
     LossParams,
     PriorParams,
@@ -131,21 +133,20 @@ class TestAcceptance:
     def test_criterion_3_detectors_match_brute_force(self):
         """Vectorized detector statistics vs naive per-sample sums."""
 
-        def brute_shoe(window, noise):
-            acc = window.accel_matrix()
-            mean = acc.mean(axis=0)
+        def brute_shoe(accel, gyro, noise):
+            mean = accel.mean(axis=0)
             u = mean / math.sqrt(float(mean @ mean))
             total = 0.0
-            for s in window.samples:
-                fa = s.accel - noise.gravity_mag * u
+            for a, w in zip(accel, gyro):
+                fa = a - noise.gravity_mag * u
                 total += float(fa @ fa) / noise.sigma_a**2
-                total += float(s.gyro @ s.gyro) / noise.sigma_w**2
+                total += float(w @ w) / noise.sigma_w**2
             return -0.5 * total
 
-        def brute_are(window, noise):
+        def brute_are(accel, gyro, noise):
             total = 0.0
-            for s in window.samples:
-                total += float(s.gyro @ s.gyro) / noise.sigma_w**2
+            for w in gyro:
+                total += float(w @ w) / noise.sigma_w**2
             return -0.5 * total
 
         rng = np.random.default_rng(3033)
@@ -153,45 +154,43 @@ class TestAcceptance:
         for _ in range(1000):
             accel = np.array([0.0, 0.0, NM.gravity_mag]) + rng.normal(0.0, 4.0, (5, 3))
             gyro = rng.normal(0.0, 2.0, (5, 3))
-            samples = tuple(
-                ImuSample(0.004 * k, accel[k], gyro[k]) for k in range(5)
-            )
-            window = ImuWindow(samples, 0)
             for fast, brute in (
                 (shoe_log_lr, brute_shoe),
                 (are_log_lr, brute_are),
             ):
-                a = fast(window, NM).value
-                b = brute(window, NM)
+                a = fast(accel, gyro, NM)
+                b = brute(accel, gyro, NM)
                 worst = max(worst, abs(a - b) / abs(b))
         _verdict(3, worst < 1e-12, f"max relative deviation = {worst:.3e}")
 
     def test_criterion_4_filter_fuzz_stays_sane(self):
-        """10^5 random propagate steps with occasional updates: covariance
-        stays symmetric positive semidefinite, quaternion stays unit."""
+        """10^5 random propagate steps with occasional updates, on a one-lane
+        stack: covariance stays symmetric positive semidefinite, quaternion
+        stays unit."""
         rng = np.random.default_rng(404)
-        pn = ProcessNoise.from_sample_noise(NM, 250.0)
+        q_rate = _process_rate(ProcessNoise.from_sample_noise(NM, 250.0))[None, None]
+        g_vec = np.array([0.0, 0.0, -NM.gravity_mag])
         state = NavState.identity()
-        cov = default_initial_covariance()
+        p, v, q, P = (x[None, None] for x in (state.p, state.v, state.q,
+                                              default_initial_covariance()))
         start = time.perf_counter()
         worst_eig_ratio = 0.0
         worst_qnorm = 0.0
-        t = 0.0
         for _ in range(100_000):
             dt = float(rng.uniform(1e-3, 1e-2))
-            t += dt
-            sample = ImuSample(t, rng.normal(0.0, 8.0, 3), rng.normal(0.0, 3.0, 3))
-            state, cov = propagate(state, cov, sample, dt, NM, pn)
+            accel, gyro = rng.normal(0.0, 8.0, 3), rng.normal(0.0, 3.0, 3)
+            p, v, q, P = _propagate(p, v, q, P, accel[None], quat_from_rotvec(gyro * dt)[None],
+                                    np.array([dt]), g_vec, q_rate)
             if rng.random() < 0.02:
-                state, cov = zupt_update(state, cov, NM)
-            P = cov.P
-            assert np.array_equal(P, P.T)
-            trace = float(np.trace(P))
-            eig_min = float(np.linalg.eigvalsh(P)[0])
+                p, v, q, P = _zupt(p, v, q, P, NM.sigma_zupt**2)
+            lane_P = P[0, 0]
+            assert np.array_equal(lane_P, lane_P.T)
+            trace = float(np.trace(lane_P))
+            eig_min = float(np.linalg.eigvalsh(lane_P)[0])
             if eig_min < 0.0:
                 worst_eig_ratio = max(worst_eig_ratio, -eig_min / trace)
             worst_qnorm = max(
-                worst_qnorm, abs(float(np.linalg.norm(state.q)) - 1.0)
+                worst_qnorm, abs(float(np.linalg.norm(q[0, 0])) - 1.0)
             )
         elapsed = time.perf_counter() - start
         ok = worst_eig_ratio < 1e-12 and worst_qnorm < 1e-9 and elapsed < 60.0

@@ -44,13 +44,12 @@ from zvnav.config import (
     merge_config,
     parse_config_text,
 )
-from zvnav.core import ImuWindow, NoiseModel, Recording
+from zvnav.core import NoiseModel, Recording
 from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError, InputFormatError, NumericalError
 from zvnav.gaitsim import extract_calibration_sets, normal_profile, simulate
 from zvnav.threshold import calibrate
 
-from conftest import make_samples
 
 NM = NoiseModel(sigma_a=0.2, sigma_w=0.02)
 
@@ -770,11 +769,10 @@ class TestCalibrate:
         n = 5
         sets = extract_calibration_sets(rec, n, noise=NM)
         trace = shoe_log_lr_trace(rec.accel, rec.gyro, n, NM)
-        samples = make_samples(rec.t, rec.accel, rec.gyro)
         starts = np.concatenate([sets.stationary, sets.midstance, sets.swing])
         assert len(starts) > 3000
         for s in starts.tolist():
-            expected = shoe_log_lr(ImuWindow(tuple(samples[s : s + n]), s), NM).value
+            expected = shoe_log_lr(rec.accel[s : s + n], rec.gyro[s : s + n], NM)
             assert trace[s + n - 1] == pytest.approx(expected, rel=1e-12, abs=0.0)
         params = cmd_calibrate(rec, merge_config({"prior": "informative"}))
         pinned = (-79.49285067236112, -1586.497541086487, -0.003617487866149121)

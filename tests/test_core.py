@@ -1,68 +1,19 @@
-import math
-
 import numpy as np
 import pytest
 
 import zvnav
-from zvnav.core import (
-    ImuSample,
-    ImuWindow,
-    NoiseModel,
-    Recording,
-    stream_to_arrays,
-    validate_stream,
-)
+from zvnav.core import NoiseModel, Recording, stream_to_arrays, validate_stream
 from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import StreamFormatError
 from zvnav.ins import run_pipeline
 from zvnav.threshold import ThresholdParams
 
-from conftest import make_samples, uniform_stream, window_of
+from conftest import uniform_stream
 
 
 def _stream(n, fs=250.0, seed=0):
     """A (t, accel, gyro) array triple."""
     return uniform_stream(np.random.default_rng(seed), n, fs)
-
-
-class TestImuSample:
-    def test_coerces_to_float_arrays(self):
-        s = ImuSample(0, [1, 2, 3], (4, 5, 6))
-        assert s.accel.dtype == float and s.accel.shape == (3,)
-        assert s.gyro.dtype == float
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
-            ImuSample(0.0, [1, 2], [0, 0, 0])
-        with pytest.raises(ValueError):
-            ImuSample(0.0, [1, 2, 3], [[0, 0, 0]])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ImuSample(0.0, [np.nan, 0, 0], [0, 0, 0])
-        with pytest.raises(ValueError):
-            ImuSample(math.inf, [0, 0, 9.81], [0, 0, 0])
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            ImuSample(-0.1, [0, 0, 9.81], [0, 0, 0])
-
-
-class TestImuWindow:
-    def test_matrices_shapes(self):
-        w = ImuWindow(tuple(make_samples(*_stream(5))), 0)
-        assert w.accel_matrix().shape == (5, 3)
-        assert w.gyro_matrix().shape == (5, 3)
-        assert len(w) == 5
-
-    def test_requires_increasing_times(self):
-        s = make_samples(*_stream(3))
-        with pytest.raises(ValueError):
-            ImuWindow((s[0], s[2], s[1]), 0)
-
-    def test_requires_nonempty(self):
-        with pytest.raises(ValueError):
-            ImuWindow((), 0)
 
 
 class TestNoiseModel:
@@ -94,7 +45,7 @@ class TestSlidingWindows:
         t, accel, gyro = _stream(5)
         trace = shoe_log_lr_trace(accel, gyro, 5, noise)
         assert np.isnan(trace[:4]).all()
-        assert trace[4] == shoe_log_lr(window_of(accel, gyro), noise).value
+        assert trace[4] == shoe_log_lr(accel, gyro, noise)
 
     def test_seven_samples_three_windows(self, noise):
         t, accel, gyro = _stream(7)
@@ -119,8 +70,8 @@ class TestSlidingWindows:
         t, accel, gyro = _stream(23)
         trace = shoe_log_lr_trace(accel, gyro, 5, noise)
         for k in range(4, 23):
-            window = window_of(accel[k - 4 : k + 1], gyro[k - 4 : k + 1], k - 4)
-            assert trace[k] == pytest.approx(shoe_log_lr(window, noise).value, rel=1e-12)
+            window = shoe_log_lr(accel[k - 4 : k + 1], gyro[k - 4 : k + 1], noise)
+            assert trace[k] == pytest.approx(window, rel=1e-12)
 
     def test_short_stream_raises(self, noise):
         t, accel, gyro = _stream(4)
@@ -184,8 +135,6 @@ def test_stream_array_round_trip():
     stream = _stream(17)
     for form in (stream, Recording("r0", *stream), tuple(x.tolist() for x in stream)):
         assert all(np.array_equal(a, b) for a, b in zip(stream_to_arrays(form), stream))
-    with pytest.raises(TypeError):  # per-sample objects are not a stream
-        stream_to_arrays(make_samples(*stream))
 
 
 def test_package_exports_resolve():

@@ -21,8 +21,6 @@ from zvnav.detectors import (
 )
 from zvnav.errors import DegenerateWindowError
 
-from conftest import window_of
-
 
 def brute_shoe(accel_rows, gyro_rows, sigma_a, sigma_w, g):
     n = len(accel_rows)
@@ -47,33 +45,25 @@ def brute_are(gyro_rows, sigma_w):
 
 class TestShoeFrozenValues:
     def test_perfect_stationarity_is_exactly_zero(self):
-        w = window_of([[0, 0, 9.81]] * 5, [[0, 0, 0]] * 5)
         nm = NoiseModel(sigma_a=0.3, sigma_w=0.02, gravity_mag=9.81)
-        assert shoe_log_lr(w, nm).value == 0.0
+        assert shoe_log_lr([[0, 0, 9.81]] * 5, [[0, 0, 0]] * 5, nm) == 0.0
 
     def test_two_sample_window_minus_one(self):
         # residual term vanishes (both accels sit on the mean direction);
         # each gyro sample contributes ||w||^2 / sigma_w^2 = 0.01 / 0.01 = 1
-        w = window_of([[0, 0, 9.81]] * 2, [[0.1, 0, 0], [0, 0.1, 0]])
         nm = NoiseModel(sigma_a=0.37, sigma_w=0.1, gravity_mag=9.81)
-        assert shoe_log_lr(w, nm).value == pytest.approx(-1.0, abs=1e-12)
-
-    def test_window_index_is_start_index(self):
-        w = window_of([[0, 0, 9.81]] * 3, [[0, 0, 0]] * 3, start_index=7)
-        nm = NoiseModel(sigma_a=0.3, sigma_w=0.02)
-        assert shoe_log_lr(w, nm).window_index == 7
+        value = shoe_log_lr([[0, 0, 9.81]] * 2, [[0.1, 0, 0], [0, 0.1, 0]], nm)
+        assert value == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestAreFrozenValues:
     def test_zero_gyro(self):
-        w = window_of([[0, 0, 9.81]] * 4, [[0, 0, 0]] * 4)
         nm = NoiseModel(sigma_a=0.3, sigma_w=0.1)
-        assert are_log_lr(w, nm).value == 0.0
+        assert are_log_lr([[0, 0, 9.81]] * 4, [[0, 0, 0]] * 4, nm) == 0.0
 
     def test_single_sample(self):
-        w = window_of([[0, 0, 9.81]], [[0.2, 0, 0]])
         nm = NoiseModel(sigma_a=0.3, sigma_w=0.1)
-        assert are_log_lr(w, nm).value == pytest.approx(-2.0, abs=1e-12)
+        assert are_log_lr([[0, 0, 9.81]], [[0.2, 0, 0]], nm) == pytest.approx(-2.0, abs=1e-12)
 
 
 class TestAgainstBruteForce:
@@ -82,13 +72,12 @@ class TestAgainstBruteForce:
         for _ in range(300):
             accel = (rng.standard_normal((5, 3)) + [0, 0, 9.0]).tolist()
             gyro = (0.5 * rng.standard_normal((5, 3))).tolist()
-            w = window_of(accel, gyro)
             expected = brute_shoe(
                 accel, gyro, noise.sigma_a, noise.sigma_w, noise.gravity_mag
             )
-            got = shoe_log_lr(w, noise).value
+            got = shoe_log_lr(accel, gyro, noise)
             assert got == pytest.approx(expected, rel=1e-12)
-            assert are_log_lr(w, noise).value == pytest.approx(
+            assert are_log_lr(accel, gyro, noise) == pytest.approx(
                 brute_are(gyro, noise.sigma_w), rel=1e-12
             )
 
@@ -102,9 +91,8 @@ class TestAgainstBruteForce:
         for end in range(n - 1, n_samples):
             rows_a = accel[end - n + 1 : end + 1].tolist()
             rows_g = gyro[end - n + 1 : end + 1].tolist()
-            w = window_of(rows_a, rows_g, start_index=end - n + 1)
             assert trace[end] == pytest.approx(
-                shoe_log_lr(w, noise).value, rel=1e-12
+                shoe_log_lr(rows_a, rows_g, noise), rel=1e-12
             )
         atrace = are_log_lr_trace(accel, gyro, n, noise)
         for end in range(n - 1, n_samples):
@@ -126,19 +114,17 @@ class TestProperties:
         for _ in range(100):
             accel = rng.normal([0, 0, 9.81], 2.0, (5, 3)).tolist()
             gyro = rng.normal(0, 1.0, (5, 3)).tolist()
-            assert shoe_log_lr(window_of(accel, gyro), noise).value <= 0.0
-            assert are_log_lr(window_of(accel, gyro), noise).value <= 0.0
+            assert shoe_log_lr(accel, gyro, noise) <= 0.0
+            assert are_log_lr(accel, gyro, noise) <= 0.0
 
     def test_permutation_invariance(self, noise):
         rng = np.random.default_rng(11)
         accel = rng.normal([0, 0, 9.81], 1.0, (6, 3))
         gyro = rng.normal(0, 0.2, (6, 3))
-        base = shoe_log_lr(window_of(accel.tolist(), gyro.tolist()), noise).value
+        base = shoe_log_lr(accel, gyro, noise)
         for _ in range(10):
             perm = rng.permutation(6)
-            shuffled = shoe_log_lr(
-                window_of(accel[perm].tolist(), gyro[perm].tolist()), noise
-            ).value
+            shuffled = shoe_log_lr(accel[perm], gyro[perm], noise)
             assert shuffled == pytest.approx(base, rel=1e-12)
 
     @given(scale=st.floats(min_value=1.0, max_value=50.0))
@@ -148,10 +134,8 @@ class TestProperties:
         rng = np.random.default_rng(5)
         accel = rng.normal([0, 0, 9.81], 0.5, (5, 3))
         gyro = rng.normal(0, 0.1, (5, 3))
-        base = shoe_log_lr(window_of(accel.tolist(), gyro.tolist()), nm).value
-        scaled = shoe_log_lr(
-            window_of(accel.tolist(), (scale * gyro).tolist()), nm
-        ).value
+        base = shoe_log_lr(accel, gyro, nm)
+        scaled = shoe_log_lr(accel, scale * gyro, nm)
         assert scaled <= base + 1e-12
 
     def test_decomposition_gyro_term_equals_are(self, noise):
@@ -159,9 +143,8 @@ class TestProperties:
         for _ in range(50):
             accel = rng.normal([0, 0, 9.81], 1.0, (5, 3)).tolist()
             gyro = rng.normal(0, 0.3, (5, 3)).tolist()
-            w = window_of(accel, gyro)
-            shoe = shoe_log_lr(w, noise).value
-            are = are_log_lr(w, noise).value
+            shoe = shoe_log_lr(accel, gyro, noise)
+            are = are_log_lr(accel, gyro, noise)
             accel_only = brute_shoe(
                 accel, [[0, 0, 0]] * 5, noise.sigma_a, noise.sigma_w, noise.gravity_mag
             )
@@ -173,7 +156,7 @@ class TestDegenerateWindows:
         accel = [[1.0, 0, 0], [-1.0, 0, 0]]
         gyro = [[0, 0, 0]] * 2
         with pytest.raises(DegenerateWindowError):
-            shoe_log_lr(window_of(accel, gyro), noise)
+            shoe_log_lr(accel, gyro, noise)
 
     def test_trace_carries_previous_direction(self, noise):
         # sample 2 makes the window at (1, 2) degenerate; its statistic must
@@ -181,12 +164,11 @@ class TestDegenerateWindows:
         accel = np.array([[0, 0, 9.81], [0, 0, 9.81], [0, 0, -9.81], [0, 0, 9.81]])
         gyro = np.zeros((4, 3))
         trace = shoe_log_lr_trace(accel, gyro, 2, noise)
-        w_prev = window_of(accel[0:2].tolist(), gyro[0:2].tolist())
         u = np.array([0.0, 0.0, 1.0])  # carried direction
         expected = -0.5 * (
             np.sum((accel[1:3] - 9.81 * u) ** 2) / noise.sigma_a**2
         )
-        assert shoe_log_lr(w_prev, noise).value == trace[1]
+        assert shoe_log_lr(accel[0:2], gyro[0:2], noise) == trace[1]
         assert trace[2] == pytest.approx(expected, rel=1e-12)
 
     def test_trace_first_window_degenerate_raises(self, noise):

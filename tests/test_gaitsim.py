@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from zvnav.core import ImuSample, NoiseModel
+from zvnav.core import NoiseModel
 from zvnav.errors import CalibrationDataError, ConfigError, NumericalError
 from zvnav.gaitsim import (
     PHASE_STANCE,
@@ -22,7 +22,14 @@ from zvnav.gaitsim import (
     simulate,
 )
 from zvnav.detectors import shoe_log_lr_trace
-from zvnav.ins import NavState, ProcessNoise, default_initial_covariance, propagate
+from zvnav.ins import (
+    NavState,
+    ProcessNoise,
+    _process_rate,
+    _propagate,
+    default_initial_covariance,
+)
+from zvnav.quat import quat_from_rotvec
 
 
 NM = NoiseModel(sigma_a=0.2, sigma_w=0.02)
@@ -140,14 +147,17 @@ class TestRoundTrip:
     def test_noiseless_round_trip_recovers_truth(self):
         rec = simulate(normal_profile(seed=7), duration=10.0, noise_scale=0.0)
         state = NavState.identity()
-        cov = default_initial_covariance()
-        pn = ProcessNoise.from_sample_noise(NM, 250.0)
+        p, v, q, P = (x[None, None] for x in (state.p, state.v, state.q,
+                                              default_initial_covariance()))
+        q_rate = _process_rate(ProcessNoise.from_sample_noise(NM, 250.0))[None, None]
+        g_vec = np.array([0.0, 0.0, -NM.gravity_mag])
         worst = 0.0
         for k in range(1, len(rec)):
             dt = rec.t[k] - rec.t[k - 1]
-            sample = ImuSample(rec.t[k - 1], rec.accel[k - 1], rec.gyro[k - 1])
-            state, cov = propagate(state, cov, sample, dt, NM, pn)
-            err = np.linalg.norm(state.p - rec.true_positions[k])
+            p, v, q, P = _propagate(p, v, q, P, rec.accel[k - 1:k],
+                                    quat_from_rotvec(rec.gyro[k - 1:k] * dt), np.array([dt]),
+                                    g_vec, q_rate)
+            err = np.linalg.norm(p[0, 0] - rec.true_positions[k])
             worst = max(worst, err)
         assert worst < 1e-3
         # the discrete inverse is exact, so the slack is purely float noise

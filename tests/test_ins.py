@@ -8,12 +8,11 @@ import pytest
 
 from zvnav.cli import cmd_sweep
 from zvnav.config import merge_config
-from zvnav.core import ImuSample, NoiseModel, Recording
+from zvnav.core import NoiseModel, Recording
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import NumericalError, StreamFormatError
 from zvnav.gaitsim import PHASE_SWING, fast_profile, normal_profile, simulate
 from zvnav.ins import (
-    NavCovariance,
     NavState,
     ProcessNoise,
     _coast,
@@ -27,16 +26,14 @@ from zvnav.ins import (
     _zupt,
     align_from_standstill,
     default_initial_covariance,
-    propagate,
     run_pipeline,
     run_recordings,
-    xi,
-    zupt_update,
 )
 from zvnav.quat import quat_from_rotvec, rotmat_from_quat
 from zvnav.threshold import ThresholdParams
 
 GRAV = 9.81
+G_VEC = np.array([0.0, 0.0, -GRAV])
 
 # `zvnav calibrate --prior informative` on the 30 s acceptance calibration
 # walk (seed 777); c3 != 0, so the threshold carries the speed evidence.
@@ -53,8 +50,14 @@ def pn(nm):
     return ProcessNoise.from_sample_noise(nm, 250.0)
 
 
-def rest_sample(t=0.0):
-    return ImuSample(t, [0.0, 0.0, GRAV], [0.0, 0.0, 0.0])
+@pytest.fixture
+def q_rate(pn):
+    return _process_rate(pn)[None, None]
+
+
+def one_lane(state, P):
+    """A state and covariance as the one-lane stacks (1, 1, ...) the kernels take."""
+    return tuple(np.asarray(x, dtype=float)[None, None] for x in (state.p, state.v, state.q, P))
 
 
 def stationary_arrays(n, fs=250.0, accel_noise=0.0, gyro_noise=0.0, seed=0):
@@ -79,16 +82,6 @@ class TestStateTypes:
         with pytest.raises(ValueError):
             NavState(np.array([np.nan, 0, 0]), np.zeros(3), [1, 0, 0, 0])
 
-    def test_covariance_rejects_asymmetry(self):
-        P = np.eye(9)
-        P[0, 1] = 1e-3
-        with pytest.raises(ValueError):
-            NavCovariance(P)
-
-    def test_covariance_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            NavCovariance(np.eye(6))
-
     def test_process_noise_from_sample_noise(self, nm):
         pn = ProcessNoise.from_sample_noise(nm, 250.0)
         assert pn.accel_psd == pytest.approx(0.2 / math.sqrt(250.0), rel=1e-12)
@@ -100,58 +93,50 @@ class TestStateTypes:
 
 
 class TestPropagate:
-    def test_equilibrium(self, nm, pn):
-        state = NavState.identity()
-        cov = default_initial_covariance()
-        s2, c2 = propagate(state, cov, rest_sample(), 1.0 / 250.0, nm, pn)
-        np.testing.assert_allclose(s2.p, 0.0, atol=1e-15)
-        np.testing.assert_allclose(s2.v, 0.0, atol=1e-15)
-        np.testing.assert_allclose(s2.q, state.q, atol=1e-15)
-        assert np.trace(c2.P) > np.trace(cov.P)
+    def test_equilibrium(self, q_rate):
+        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p2, v2, q2, P2 = _propagate(p, v, q, P, np.array([[0.0, 0.0, GRAV]]),
+                                    quat_from_rotvec(np.zeros((1, 3))), np.array([1.0 / 250.0]),
+                                    G_VEC, q_rate)
+        np.testing.assert_allclose(p2, 0.0, atol=1e-15)
+        np.testing.assert_allclose(v2, 0.0, atol=1e-15)
+        np.testing.assert_allclose(q2, q, atol=1e-15)
+        assert np.trace(P2[0, 0]) > np.trace(P[0, 0])
 
-    def test_quarter_turn_heading(self, nm, pn):
-        state = NavState.identity()
-        cov = default_initial_covariance()
-        sample = ImuSample(0.0, [0.0, 0.0, GRAV], [0.0, 0.0, math.pi / 2])
-        s2, _ = propagate(state, cov, sample, 1.0, nm, pn)
-        R = rotmat_from_quat(s2.q)
+    def test_quarter_turn_heading(self, q_rate):
+        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        dq = quat_from_rotvec(np.array([[0.0, 0.0, math.pi / 2]]))
+        _, _, q2, _ = _propagate(p, v, q, P, np.array([[0.0, 0.0, GRAV]]), dq, np.array([1.0]),
+                                 G_VEC, q_rate)
+        R = rotmat_from_quat(q2[0, 0])
         np.testing.assert_allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
-        assert np.linalg.norm(s2.q) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(q2[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_constant_residual_integrates_to_expected_speed(self, nm, pn):
-        state = NavState.identity()
-        cov = default_initial_covariance()
-        sample_accel = [0.1, 0.0, GRAV]
-        dt = 1.0 / 250.0
-        for k in range(250):
-            sample = ImuSample(k * dt, sample_accel, [0, 0, 0])
-            state, cov = propagate(state, cov, sample, dt, nm, pn)
-        assert np.linalg.norm(state.v) == pytest.approx(0.1, abs=1e-6)
-
-    def test_rejects_nonpositive_dt(self, nm, pn):
-        state = NavState.identity()
-        cov = default_initial_covariance()
-        with pytest.raises(ValueError):
-            propagate(state, cov, rest_sample(), 0.0, nm, pn)
+    def test_constant_residual_integrates_to_expected_speed(self, q_rate):
+        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        accel = np.array([[0.1, 0.0, GRAV]])
+        dq = quat_from_rotvec(np.zeros((1, 3)))
+        for _ in range(250):
+            p, v, q, P = _propagate(p, v, q, P, accel, dq, np.array([1.0 / 250.0]), G_VEC, q_rate)
+        assert np.linalg.norm(v[0, 0]) == pytest.approx(0.1, abs=1e-6)
 
 
 class TestZuptUpdate:
     def test_zero_velocity_is_fixed_point(self, nm):
-        state = NavState.identity()
-        cov = default_initial_covariance()
-        s2, c2 = zupt_update(state, cov, nm)
-        np.testing.assert_allclose(s2.v, 0.0, atol=1e-18)
-        np.testing.assert_allclose(s2.p, state.p, atol=1e-18)
-        before = np.trace(cov.P[3:6, 3:6])
-        after = np.trace(c2.P[3:6, 3:6])
+        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p2, v2, _, P2 = _zupt(p, v, q, P, nm.sigma_zupt**2)
+        np.testing.assert_allclose(v2, 0.0, atol=1e-18)
+        np.testing.assert_allclose(p2, p, atol=1e-18)
+        before = np.trace(P[0, 0, 3:6, 3:6])
+        after = np.trace(P2[0, 0, 3:6, 3:6])
         assert after < before
 
     def test_large_prior_pulls_velocity_to_zero(self, nm):
         state = NavState(np.zeros(3), [1.0, 0.0, 0.0], [1, 0, 0, 0])
         P = np.eye(9) * 1e-6
         P[3:6, 3:6] = np.eye(3) * 100.0
-        s2, _ = zupt_update(state, NavCovariance(P), nm)
-        assert np.linalg.norm(s2.v) < nm.sigma_zupt
+        _, v2, _, _ = _zupt(*one_lane(state, P), nm.sigma_zupt**2)
+        assert np.linalg.norm(v2[0, 0]) < nm.sigma_zupt
 
     def test_kalman_gain_limit_scalar_oracle(self, nm):
         # with prior variance sigma0^2 on one axis, the posterior velocity is
@@ -160,57 +145,52 @@ class TestZuptUpdate:
         state = NavState(np.zeros(3), [0.3, 0.0, 0.0], [1, 0, 0, 0])
         P = np.eye(9) * 1e-8
         P[3, 3] = sigma0_sq
-        s2, _ = zupt_update(state, NavCovariance(P), nm)
+        _, v2, _, _ = _zupt(*one_lane(state, P), r)
         expected = 0.3 * r / (sigma0_sq + r)
-        assert s2.v[0] == pytest.approx(expected, rel=1e-9)
+        assert v2[0, 0, 0] == pytest.approx(expected, rel=1e-9)
 
-    def test_velocity_trace_never_grows(self, nm, pn):
+    def test_velocity_trace_never_grows(self, nm, q_rate):
         rng = np.random.default_rng(31)
-        state = NavState.identity()
-        cov = default_initial_covariance()
-        for k in range(200):
-            sample = ImuSample(
-                k / 250.0,
-                [0, 0, GRAV] + 0.3 * rng.standard_normal(3),
-                0.1 * rng.standard_normal(3),
-            )
-            state, cov = propagate(state, cov, sample, 1 / 250.0, nm, pn)
-            before = np.trace(cov.P[3:6, 3:6])
-            state, cov = zupt_update(state, cov, nm)
-            after = np.trace(cov.P[3:6, 3:6])
+        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        dt = 1 / 250.0
+        for _ in range(200):
+            accel = [0, 0, GRAV] + 0.3 * rng.standard_normal(3)
+            gyro = 0.1 * rng.standard_normal(3)
+            p, v, q, P = _propagate(p, v, q, P, accel[None], quat_from_rotvec(gyro * dt)[None],
+                                    np.array([dt]), G_VEC, q_rate)
+            before = np.trace(P[0, 0, 3:6, 3:6])
+            p, v, q, P = _zupt(p, v, q, P, nm.sigma_zupt**2)
+            after = np.trace(P[0, 0, 3:6, 3:6])
             assert after <= before + 1e-15
 
 
 class TestCovarianceHealthFuzz:
-    def test_randomized_cycles_stay_symmetric_psd(self, nm, pn):
+    def test_randomized_cycles_stay_symmetric_psd(self, nm, q_rate):
         rng = np.random.default_rng(32)
-        state = NavState.identity()
-        cov = default_initial_covariance()
+        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
         dt = 1.0 / 250.0
-        for k in range(2000):
+        for _ in range(2000):
             accel = [0, 0, GRAV] + rng.standard_normal(3) * 2.0
             gyro = rng.standard_normal(3) * 1.5
-            state, cov = propagate(
-                state, cov, ImuSample(k * dt, accel, gyro), dt, nm, pn
-            )
+            p, v, q, P = _propagate(p, v, q, P, accel[None], quat_from_rotvec(gyro * dt)[None],
+                                    np.array([dt]), G_VEC, q_rate)
             if rng.random() < 0.3:
-                state, cov = zupt_update(state, cov, nm)
-            P = cov.P
-            assert np.abs(P - P.T).max() <= 1e-9 * (1 + np.abs(P).max())
-            assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.trace(P)
-            assert abs(np.linalg.norm(state.q) - 1.0) <= 1e-9
+                p, v, q, P = _zupt(p, v, q, P, nm.sigma_zupt**2)
+            lane_P = P[0, 0]
+            assert np.abs(lane_P - lane_P.T).max() <= 1e-9 * (1 + np.abs(lane_P).max())
+            assert np.linalg.eigvalsh(lane_P).min() >= -1e-12 * np.trace(lane_P)
+            assert abs(np.linalg.norm(q[0, 0]) - 1.0) <= 1e-9
 
 
 class TestXi:
+    """_xi(P_vv, v) as the loop calls it, on nested lists; NaN is the fallback."""
+
     def test_zero_velocity_gives_zero(self):
-        state = NavState.identity()
-        assert xi(state, default_initial_covariance()) == 0.0
+        assert _xi(default_initial_covariance()[3:6, 3:6].tolist(), [0.0, 0.0, 0.0]) == 0.0
 
     def test_diagonal_case(self):
-        state = NavState(np.zeros(3), [0.1, 0.0, 0.0], [1, 0, 0, 0])
-        P = np.eye(9) * 1e-6
-        P[3:6, 3:6] = np.eye(3) * 0.01
-        assert xi(state, NavCovariance(P)) == pytest.approx(1.0, rel=1e-12)
+        S = np.eye(3) * 0.01
+        assert _xi(S.tolist(), [0.1, 0.0, 0.0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_explicit_inverse(self):
         rng = np.random.default_rng(33)
@@ -218,32 +198,22 @@ class TestXi:
             A = rng.standard_normal((3, 3))
             S = A @ A.T + 0.05 * np.eye(3)
             v = rng.standard_normal(3) * 0.5
-            P = np.eye(9) * 1e-6
-            P[3:6, 3:6] = S
-            state = NavState(np.zeros(3), v, [1, 0, 0, 0])
             expected = float(v @ np.linalg.inv(S) @ v)
-            assert xi(state, NavCovariance(P)) == pytest.approx(expected, rel=1e-10)
+            assert _xi(S.tolist(), v.tolist()) == pytest.approx(expected, rel=1e-10)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(34)
         for _ in range(100):
             A = rng.standard_normal((3, 3))
             S = A @ A.T + 1e-3 * np.eye(3)
-            P = np.eye(9) * 1e-6
-            P[3:6, 3:6] = S
-            state = NavState(np.zeros(3), rng.standard_normal(3), [1, 0, 0, 0])
-            assert xi(state, NavCovariance(P)) >= 0.0
+            assert _xi(S.tolist(), rng.standard_normal(3).tolist()) >= 0.0
 
     def test_ill_conditioned_falls_back(self):
-        state = NavState(np.zeros(3), [0.1, 0, 0], [1, 0, 0, 0])
-        P = np.eye(9) * 1e-6
-        P[3:6, 3:6] = np.diag([1e8, 1e-8, 1e-8])
-        assert xi(state, NavCovariance(P)) is None
+        S = np.diag([1e8, 1e-8, 1e-8])
+        assert math.isnan(_xi(S.tolist(), [0.1, 0.0, 0.0]))
 
     def test_singular_falls_back(self):
-        state = NavState(np.zeros(3), [0.1, 0, 0], [1, 0, 0, 0])
-        P = np.zeros((9, 9))
-        assert xi(state, NavCovariance(P)) is None
+        assert math.isnan(_xi(np.zeros((3, 3)).tolist(), [0.1, 0.0, 0.0]))
 
 
 class TestAlign:
@@ -319,11 +289,14 @@ class TestRunPipeline:
         assert np.array_equal(a.log_gamma_trace, b.log_gamma_trace, equal_nan=True)
         assert a.loop_closure_error_m == b.loop_closure_error_m
 
-    def test_explicit_init_state(self, nm):
+    def test_explicit_init_state(self, nm, pn):
+        # the loop starts each recording's lanes from its state0
         t, accel, gyro = stationary_arrays(300)
-        init = NavState(np.array([5.0, 5.0, 0.0]), np.zeros(3), [1, 0, 0, 0])
-        report = run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-10.0), nm, init=init)
-        np.testing.assert_allclose(report.trajectory[0], [5.0, 5.0, 0.0], atol=1e-12)
+        state0 = NavState(np.array([5.0, 5.0, 0.0]), np.zeros(3), [1, 0, 0, 0])
+        out = _filter_lanes([t], [accel], [gyro], [state0], default_initial_covariance(), nm,
+                            [pn], 4, lanes=[ThresholdParams(-10.0)],
+                            logl=[shoe_log_lr_trace(accel, gyro, 5, nm)])
+        np.testing.assert_allclose(out.trajectory[0, 0], [5.0, 5.0, 0.0], atol=1e-12)
 
     def test_too_short_stream_rejected(self, nm):
         t, accel, gyro = stationary_arrays(1)
@@ -503,62 +476,70 @@ class TestLaneKernel:
         assert np.linalg.eigvalsh(P).min() >= -1e-12 * np.trace(P)
         assert abs(np.linalg.norm(out.q[0]) - 1.0) < 1e-9
 
-    def test_singular_innovation_covariance_raises(self, nm):
+    def test_singular_innovation_covariance_raises(self, nm, pn):
         # P_vv = -R makes S = P_vv + R exactly zero at the first update, on
         # the one-lane path and on a lane gathered from a larger stack
         t, accel, gyro = stationary_arrays(50)
-        P = default_initial_covariance().P.copy()
+        P = default_initial_covariance()
         P[3:6, 3:6] = -nm.sigma_zupt**2 * np.eye(3)
-        init = (NavState.identity(), NavCovariance(P))
+        logl = shoe_log_lr_trace(accel, gyro, 1, nm)
         with pytest.raises(NumericalError, match="not invertible"):
-            run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-1e9), nm, init=init,
-                         window_samples=1)
+            _filter_lanes([t], [accel], [gyro], [NavState.identity()], P, nm, [pn], 0,
+                          lanes=[ThresholdParams(-1e9)], logl=[logl])
         with pytest.raises(NumericalError, match="not invertible"):
-            run_recordings([(t, accel, gyro)], "shoe",
-                           [ThresholdParams(1.0), ThresholdParams(-1e9)], nm, init=init,
-                           window_samples=1)
+            _filter_lanes([t], [accel], [gyro], [NavState.identity()], P, nm, [pn], 0,
+                          lanes=[ThresholdParams(1.0), ThresholdParams(-1e9)], logl=[logl])
         # and on a lane of the second recording of a multi-recording call: the
         # first (longer, spinning: logl = -11250) never crosses c1 = -1e3, the
         # second (at rest: logl = 0) does on its second lane
-        spin = (np.arange(60) / 250.0, np.tile([0.0, 0.0, GRAV], (60, 1)),
-                np.tile([3.0, 0.0, 0.0], (60, 1)))
+        spin_t, spin_accel = np.arange(60) / 250.0, np.tile([0.0, 0.0, GRAV], (60, 1))
+        spin_gyro = np.tile([3.0, 0.0, 0.0], (60, 1))
+        spin_logl = shoe_log_lr_trace(spin_accel, spin_gyro, 1, nm)
         lanes = [ThresholdParams(1.0), ThresholdParams(-1e3)]
-        (spun,) = run_recordings([spin], "shoe", lanes, nm, init=init, window_samples=1)
-        assert not any(r.zupt_count for r in spun)
+        spun = _filter_lanes([spin_t], [spin_accel], [spin_gyro], [NavState.identity()], P, nm,
+                             [pn], 0, lanes=lanes, logl=[spin_logl])
+        assert not spun.decisions.any()
         with pytest.raises(NumericalError, match="not invertible"):
-            run_recordings([spin, (t, accel, gyro)], "shoe", lanes, nm, init=init,
-                           window_samples=1)
+            _filter_lanes([spin_t, t], [spin_accel, accel], [spin_gyro, gyro],
+                          [NavState.identity()] * 2, P, nm, [pn, pn], 0, lanes=lanes,
+                          logl=[spin_logl, logl])
 
-    def test_ill_conditioned_xi_drops_speed_term_in_loop(self, nm):
+    def test_ill_conditioned_xi_drops_speed_term_in_loop(self, nm, pn):
         # velocity covariance with condition 1e16 > XI_COND_BOUND: the c3 term
         # falls back to zero, so the threshold is exactly c1 + c2 * dt
         t, accel, gyro = stationary_arrays(20)
-        P = default_initial_covariance().P.copy()
+        P = default_initial_covariance()
         P[3:6, 3:6] = np.diag([1e8, 1e-8, 1e-8])
-        init = (NavState(np.zeros(3), [0.1, 0.0, 0.0], [1, 0, 0, 0]), NavCovariance(P))
+        state0 = NavState(np.zeros(3), [0.1, 0.0, 0.0], [1, 0, 0, 0])
         params = ThresholdParams(1.0, -2.0, 1e6)
-        report = run_pipeline((t, accel, gyro), "shoe", params, nm, init=init)
-        assert report.zupt_count == 0
+        out = _filter_lanes([t], [accel], [gyro], [state0], P, nm, [pn], 4, lanes=[params],
+                            logl=[shoe_log_lr_trace(accel, gyro, 5, nm)])
+        assert not out.decisions.any()
         k = 4  # first full window
-        assert report.log_gamma_trace[k] == params.c1 + params.c2 * (t[k] - t[0])
+        assert out.log_gamma[k, 0] == params.c1 + params.c2 * (t[k] - t[0])
 
 
 def label_pass_reference(rec, noise, pn, zupts, xi_mask):
-    """The label-driven pass sample by sample through the public one-lane
-    wrappers: xi on the xi_mask samples k >= 1, from the covariance before
-    the update at k; also each sample's (P_vv, v) before its update."""
-    state, cov = NavState.identity(), default_initial_covariance()
+    """The label-driven pass sample by sample on a one-lane stack: _propagate
+    at every sample k >= 1, _xi on the xi_mask samples from the covariance
+    before the update at k, and _zupt where zupts is set; also each sample's
+    (P_vv, v) before its update."""
+    q_rate = _process_rate(pn)[None, None]
+    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
+    p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
     xis, blocks = [], []
     for k in range(1, len(rec.t)):
-        sample = ImuSample(rec.t[k - 1], rec.accel[k - 1], rec.gyro[k - 1])
-        state, cov = propagate(state, cov, sample, rec.t[k] - rec.t[k - 1], noise, pn)
-        blocks.append((cov.P[3:6, 3:6], state.v))
+        dt = rec.t[k] - rec.t[k - 1]
+        p, v, q, P = _propagate(p, v, q, P, rec.accel[k - 1:k],
+                                quat_from_rotvec(rec.gyro[k - 1:k] * dt), np.array([dt]),
+                                g_vec, q_rate)
+        blocks.append((P[0, 0, 3:6, 3:6], v[0, 0]))
         if xi_mask[k]:
-            ev = xi(state, cov)
-            if ev is not None:
+            ev = _xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist())
+            if not math.isnan(ev):
                 xis.append(ev)
         if zupts[k]:
-            state, cov = zupt_update(state, cov, noise)
+            p, v, q, P = _zupt(p, v, q, P, noise.sigma_zupt**2)
     return xis, blocks
 
 
@@ -603,7 +584,7 @@ class TestCoast:
         state = align_from_standstill(rec)
         self.assert_coast_matches(noise, rec, _coast_inputs(rec.t, rec.accel, rec.gyro),
                                   0, len(rec.t) - 1, state.p, state.v, state.q,
-                                  default_initial_covariance().P)
+                                  default_initial_covariance())
 
     def test_coast_matches_propagate_on_every_swing_coast(self, walk777):
         """Walk 777 under its labels, stepped per sample with _propagate and
@@ -616,7 +597,7 @@ class TestCoast:
         g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
         q_rate = _process_rate(pn)[None, None]
         zupts = rec.stationary
-        state0, P0 = NavState.identity(), default_initial_covariance().P
+        state0, P0 = NavState.identity(), default_initial_covariance()
         p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, P0))
         coasts = 0
         k = 1
@@ -637,7 +618,7 @@ class TestCoast:
             k = b + 1
         assert coasts >= 30
 
-    def test_label_pass_matches_public_wrappers(self):
+    def test_label_pass_matches_per_sample_steps(self):
         """A short labelled walk with an update at the first decision sample,
         xi on update samples as well as swing, a one-sample coast and a coast
         that ends at the last sample: the same xi count, each within 1e-9."""

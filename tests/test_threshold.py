@@ -42,8 +42,13 @@ class TestLossFactor:
         )
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            loss_factor(LossParams(100.0, 2.0), -0.1)
+        # and a dt that is not finite (inf at theta = 0 would give NaN), on
+        # both routes that take dt
+        for theta, dt in ((2.0, -0.1), (2.0, math.nan), (0.0, math.inf), (2.0, math.inf)):
+            with pytest.raises(ValueError):
+                loss_factor(LossParams(100.0, theta), dt)
+            with pytest.raises(ValueError):
+                threshold_from_bayes(LossParams(100.0, theta), PriorParams(), dt, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -78,8 +83,12 @@ class TestHypothesisPrior:
         assert 0.0 < hypothesis_prior(PriorParams(0.0, -1e6), 0.0) < 1.0
 
     def test_negative_xi_rejected_when_informative(self):
-        with pytest.raises(ValueError):
-            hypothesis_prior(PriorParams(1.0, 0.0), -1.0)
+        # and an xi that is not finite, also at beta1 = 0 (inf would give NaN)
+        for beta1, xi in ((1.0, -1.0), (1.0, math.nan), (1.0, math.inf), (0.0, math.inf)):
+            with pytest.raises(ValueError):
+                hypothesis_prior(PriorParams(beta1, 0.0), xi)
+            with pytest.raises(ValueError):
+                threshold_from_bayes(LossParams(1.0, 1.0), PriorParams(beta1, 0.0), 1.0, xi)
 
 
 class TestLogThreshold:
