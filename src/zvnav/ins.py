@@ -18,6 +18,10 @@ takes no-op steps past its end, as costly as real ones (a 30 s plus a 5 s
 walk: +18% over ending the 5 s lanes early). run_recordings is the
 general call (one per sweep), run_pipeline its one-recording, one-lane
 case.
+
+A step splits into its input-only factors, built _BLOCK = 64 steps per
+numpy call (_step_inputs), and the state-dependent rest (_propagate); the
+split keeps every float operation, so it moves no bit.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+# np.linalg.inv's own LAPACK gufunc, without its wrapper: the same S^-1 bit for
+# bit. CI pins numpy 2.4.6, and the golden digests would catch a change.
+from numpy.linalg._umath_linalg import inv as _inv
 
 from .core import NoiseModel, stream_to_arrays, validate_stream
 from .detectors import get_detector
@@ -137,7 +144,7 @@ def align_from_standstill(stream) -> NavState:
 
 # Constant operators of the step, built from quat_mul and skew so each
 # formula exists once (e_a are the basis quaternions):
-# - q * b = q @ (_QMUL @ b) and a * q = (a @ _QMUL.reshape(4, 16)).reshape(4, 4) @ q;
+# - q * b = q @ (_QMUL @ b) and a * q = (a @ _QMUL_L).reshape(4, 4) @ q;
 # - R(q) = sum_ab q_a q_b _ROT[4a + b], from R(q) v = vec(q * (0, v) * q^-1),
 #   diagonal in the homogeneous form w^2 + x^2 - y^2 - z^2 (|q| = 1);
 # - F = I + dt * (_F_DT + f_nav @ _F_SKEW): dt I in the (dp, dv) block and
@@ -150,6 +157,7 @@ _ROT = np.array([[[quat_mul(quat_mul(a, e), quat_conj(b))[1:] for e in _E4[1:]]
 # (b @ _QMUL_B).reshape(R, 4, 4) is _QMUL @ b per row, and for a of shape
 # (R, 3), (a @ _ROT_A).reshape(R, 16, 3) is _ROT @ a per row
 _QMUL_B = np.ascontiguousarray(_QMUL.reshape(16, 4).T)
+_QMUL_L = _QMUL.reshape(4, 16)
 _ROT_A = np.ascontiguousarray(_ROT.transpose(2, 0, 1).reshape(3, 48))
 _F_DT = np.zeros((9, 9))
 _F_DT[0:3, 3:6] = np.eye(3)
@@ -157,10 +165,11 @@ _F_SKEW = np.zeros((3, 9, 9))
 _F_SKEW[:, 3:6, 6:9] = [-skew(e) for e in np.eye(3)]
 _F_SKEW = _F_SKEW.reshape(3, 81)
 _EYE3, _EYE9 = np.eye(3), np.eye(9)
+_BLOCK = 64  # steps per _step_inputs block, 1.8 kB per step and recording
 
 
 def _unit(q):
-    return q / np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0])
+    return q / np.sqrt(np.vecdot(q, q)[..., None])
 
 
 def _process_rate(pn: ProcessNoise) -> np.ndarray:
@@ -168,24 +177,35 @@ def _process_rate(pn: ProcessNoise) -> np.ndarray:
     return np.diag(np.repeat([0.0, pn.accel_psd**2, pn.gyro_psd**2], 3))
 
 
-def _propagate(p, v, q, P, accel, dq, dt, g_vec, q_rate):
+def _step_inputs(accel, dq, dt, q_rate):
+    """The state-free factors of m _propagate steps on R recordings, built
+    _BLOCK steps at a time so that they take O(_BLOCK) memory, not O(m).
+    From the specific force accel (m, R, 3), gyro increment dq = exp(gyro *
+    dt) (m, R, 4), dt (m, R) and covariance growth rate q_rate (R, 1, 9, 9),
+    yields per step accel @ _ROT_A, dq @ _QMUL_B, dt, I + dt _F_DT, dt q_rate."""
+    for k in range(0, len(dt), _BLOCK):
+        d = dt[k:k + _BLOCK, :, None, None, None]
+        yield from zip((accel[k:k + _BLOCK] @ _ROT_A).reshape(d.shape[:2] + (16, 3)),
+                       (dq[k:k + _BLOCK] @ _QMUL_B).reshape(d.shape[:2] + (4, 4)),
+                       d[..., 0], _EYE9 + d * _F_DT, d * q_rate)
+
+
+def _propagate(p, v, q, P, step, g_vec):
     """One mechanization and covariance step for C lanes on each of R
-    recordings: p, v (R, C, 3), q (R, C, 4), P (R, C, 9, 9). A recording's
-    specific force accel (R, 3), gyro increment dq = exp(gyro * dt) (R, 4),
-    dt (R,) and covariance growth rate q_rate (R, 1, 9, 9) are shared by its
-    C lanes. Velocity uses the pre-step attitude, position the post-step
-    velocity. Returns new arrays."""
-    R, C = q.shape[:2]
-    qq = (q[..., :, None] * q[..., None, :]).reshape(R, C, 16)
-    f_nav = qq @ (accel @ _ROT_A).reshape(R, 16, 3)
-    dt = dt[:, None, None]
+    recordings: p, v (R, C, 3), q (R, C, 4), P (R, C, 9, 9), and ``step``
+    the _step_inputs factors that its C lanes share. Velocity uses the
+    pre-step attitude, position the post-step velocity. F adds dt [f_nav]x
+    to the factor I + dt _F_DT; their supports are disjoint, so F is exactly
+    I + dt (_F_DT + [f_nav]x). Returns new arrays."""
+    rot, qmul, dt, F, noise = step
+    qq = (q[..., :, None] * q[..., None, :]).reshape(*q.shape[:2], 16)
+    f_nav = qq @ rot
     v = v + (f_nav + g_vec) * dt
     p = p + v * dt
-    q = _unit(q @ (dq @ _QMUL_B).reshape(R, 4, 4))
-    dt = dt[..., None]
-    F = _EYE9 + dt * (_F_DT + (f_nav @ _F_SKEW).reshape(R, C, 9, 9))
-    P = F @ P @ F.swapaxes(-1, -2) + dt * q_rate
-    return p, v, q, 0.5 * (P + P.swapaxes(-1, -2))
+    q = _unit(q @ qmul)
+    F = F + dt[..., None] * (f_nav @ _F_SKEW).reshape(P.shape)
+    P = F @ P @ F.mT + noise
+    return p, v, q, 0.5 * (P + P.mT)
 
 
 def _zupt(p, v, q, P, r_var):
@@ -193,24 +213,27 @@ def _zupt(p, v, q, P, r_var):
     stack of lanes of any leading shape; the error folds into the nominal
     state, attitude by left-multiplying its small-angle quaternion. P is
     symmetric, so K^T = S^-1 H P, and the Joseph form (I - K H) P (I - K H)^T
-    + r K K^T is built from the velocity rows and columns: A = P - K H P, then
-    A - (A H^T) K^T + r K K^T."""
-    S = P[..., 3:6, 3:6] + r_var * _EYE3
+    + r K K^T is built from the velocity rows HP and columns: A = P - K HP,
+    then A - (A H^T) K^T + r K K^T. A singular S raises at any errstate."""
+    HP = P[..., 3:6, :]
+    S = HP[..., 3:6] + r_var * _EYE3
     try:
-        Kt = np.linalg.inv(S) @ P[..., 3:6, :]
-    except np.linalg.LinAlgError as exc:
+        with np.errstate(all="ignore", invalid="raise"):
+            S_inv = _inv(S)
+    except FloatingPointError as exc:
         raise NumericalError(
             f"innovation covariance not invertible: {S.tolist()}"
         ) from exc
+    Kt = S_inv @ HP
     if not np.isfinite(Kt).all():
         raise NumericalError(f"innovation covariance ill-formed: {S.tolist()}")
-    K = Kt.swapaxes(-1, -2)
+    K = Kt.mT
     dx = (-v[..., None, :] @ Kt)[..., 0, :]
-    left = (quat_from_rotvec(dx[..., 6:9]) @ _QMUL.reshape(4, 16)).reshape(q.shape + (4,))
+    left = (quat_from_rotvec(dx[..., 6:9]) @ _QMUL_L).reshape(q.shape + (4,))
     q = _unit((left @ q[..., None])[..., 0])
-    A = P - K @ P[..., 3:6, :]
+    A = P - K @ HP
     P = A - A[..., 3:6] @ Kt + r_var * (K @ Kt)
-    return p + dx[..., 0:3], v + dx[..., 3:6], q, 0.5 * (P + P.swapaxes(-1, -2))
+    return p + dx[..., 0:3], v + dx[..., 3:6], q, 0.5 * (P + P.mT)
 
 
 def _coast(p, v, q, P, G, fb, dt, g_vec, q_rate):
@@ -353,25 +376,25 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     c1, c2, c3 = np.array([(lane.c1, lane.c2, lane.c3) for lane in lanes]).T[:, None]
     coef = SimpleNamespace(c1=c1, c2=c2, c3=c3)
     xi_lanes = [c for c, lane in enumerate(lanes) if lane.c3 != 0.0]
-    xi_buf = np.full((R, C), np.nan)  # NaN: no speed evidence
+    xi = np.full((R, C), np.nan) if xi_lanes else None  # NaN: no speed evidence
 
     p, v, q = (np.repeat(np.array([getattr(s, x) for s in state0])[:, None], C, 1)
                for x in "pvq")
     P = np.tile(cov0, (R, C, 1, 1))
     trajectory = np.empty((n, R, C, 3))
-    decisions = np.zeros((n, R, C), dtype=bool)
     log_gamma = np.full((n, R, C), np.nan)
     t_last = np.repeat(ts[0], C, 1)
+    k = 0  # building the first block of step inputs can fail before step 0
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            for k in range(n):
-                p, v, q, P = _propagate(p, v, q, P, accels[k], dqs[k], dts[k], g_vec, q_rate)
+            for k, step in enumerate(_step_inputs(accels, dqs, dts, q_rate)):
+                p, v, q, P = _propagate(p, v, q, P, step, g_vec)
                 if k >= first_window:
                     for r in range(R):
                         if k < len(t[r]):  # a no-op step computes no new xi
                             for c in xi_lanes:
-                                xi_buf[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist())
-                    lg = log_threshold(coef, ts[k] - t_last, xi_buf if xi_lanes else None)
+                                xi[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist())
+                    lg = log_threshold(coef, ts[k] - t_last, xi)
                     log_gamma[k] = lg
                     fire = logls[k] > lg  # NaN never passes
                     fired = np.count_nonzero(fire)
@@ -381,7 +404,6 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
                         else:
                             p[fire], v[fire], q[fire], P[fire] = _zupt(
                                 p[fire], v[fire], q[fire], P[fire], r_var)
-                        decisions[k] = fire
                         np.copyto(t_last, ts[k], where=fire)
                 trajectory[k] = p
         except (FloatingPointError, NumericalError) as exc:
@@ -391,7 +413,7 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     for r in range(R):
         trajectory[len(t[r]):, r] = np.nan
     L = R * C
-    return _LaneTraces(trajectory.reshape(n, L, 3), decisions.reshape(n, L),
+    return _LaneTraces(trajectory.reshape(n, L, 3), (logls > log_gamma).reshape(n, L),
                        log_gamma.reshape(n, L), q.reshape(L, 4), P.reshape(L, 9, 9))
 
 
@@ -434,10 +456,12 @@ def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.n
     p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, cov0))
     xis = []
     a = 0  # the last update, or the start
-    updates = (np.flatnonzero(np.asarray(zupts[1:], dtype=bool)) + 1).tolist()
+    updates = np.flatnonzero(np.asarray(zupts[1:], dtype=bool)) + 1
+    steps = _step_inputs(accel[updates - 1, None], dq[updates, None], dt[updates, None],
+                         q_rate[None, None])
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
-            for u in [*updates, len(t)]:
+            for u in [*updates.tolist(), len(t)]:
                 if u - a > 1:  # coast over samples a+1 .. u-1
                     with np.errstate(all="ignore"):
                         *end, vs, Pvv = _coast(p[0, 0], v[0, 0], q[0, 0], P[0, 0], G[a:u],
@@ -453,8 +477,7 @@ def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.n
                 if u == len(t):
                     break
                 k = u
-                p, v, q, P = _propagate(p, v, q, P, accel[u - 1:u], dq[u:u + 1], dt[u:u + 1],
-                                        g_vec, q_rate[None, None])
+                p, v, q, P = _propagate(p, v, q, P, next(steps), g_vec)
                 if xi_mask[u]:
                     xis.append([_xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist())])
                 p, v, q, P = _zupt(p, v, q, P, r_var)

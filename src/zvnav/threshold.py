@@ -134,7 +134,7 @@ def log_threshold(params, dt, xi):
     detector fires where its statistic strictly exceeds this value: a tie
     or a NaN statistic never fires.
     """
-    if np.minimum.reduce(dt, axis=None) < 0.0:  # np.min without its wrapper
+    if not np.minimum.reduce(dt, axis=None) >= 0.0:  # np.min without its wrapper; NaN fails
         raise ValueError(f"dt must be >= 0, got {dt}")
     value = params.c1 + params.c2 * dt
     if xi is None:

@@ -22,6 +22,7 @@ from zvnav.ins import (
     ProcessNoise,
     _process_rate,
     _propagate,
+    _step_inputs,
     _zupt,
     default_initial_covariance,
     run_pipeline,
@@ -179,8 +180,9 @@ class TestAcceptance:
         for _ in range(100_000):
             dt = float(rng.uniform(1e-3, 1e-2))
             accel, gyro = rng.normal(0.0, 8.0, 3), rng.normal(0.0, 3.0, 3)
-            p, v, q, P = _propagate(p, v, q, P, accel[None], quat_from_rotvec(gyro * dt)[None],
-                                    np.array([dt]), g_vec, q_rate)
+            step = next(_step_inputs(accel[None, None], quat_from_rotvec(gyro * dt)[None, None],
+                                     np.array([[dt]]), q_rate))
+            p, v, q, P = _propagate(p, v, q, P, step, g_vec)
             if rng.random() < 0.02:
                 p, v, q, P = _zupt(p, v, q, P, NM.sigma_zupt**2)
             lane_P = P[0, 0]

@@ -27,6 +27,7 @@ from zvnav.ins import (
     ProcessNoise,
     _process_rate,
     _propagate,
+    _step_inputs,
     default_initial_covariance,
 )
 from zvnav.quat import quat_from_rotvec
@@ -154,9 +155,10 @@ class TestRoundTrip:
         worst = 0.0
         for k in range(1, len(rec)):
             dt = rec.t[k] - rec.t[k - 1]
-            p, v, q, P = _propagate(p, v, q, P, rec.accel[k - 1:k],
-                                    quat_from_rotvec(rec.gyro[k - 1:k] * dt), np.array([dt]),
-                                    g_vec, q_rate)
+            step = next(_step_inputs(rec.accel[None, k - 1:k],
+                                     quat_from_rotvec(rec.gyro[None, k - 1:k] * dt),
+                                     np.array([[dt]]), q_rate))
+            p, v, q, P = _propagate(p, v, q, P, step, g_vec)
             err = np.linalg.norm(p[0, 0] - rec.true_positions[k])
             worst = max(worst, err)
         assert worst < 1e-3

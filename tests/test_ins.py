@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,14 +15,18 @@ from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import NumericalError, StreamFormatError
 from zvnav.gaitsim import PHASE_SWING, fast_profile, normal_profile, simulate
 from zvnav.ins import (
+    _BLOCK,
+    _QMUL,
     NavState,
     ProcessNoise,
     _coast,
     _coast_inputs,
     _filter_lanes,
+    _increments,
     _label_pass,
     _process_rate,
     _propagate,
+    _step_inputs,
     _xi,
     _xi_stack,
     _zupt,
@@ -30,7 +36,7 @@ from zvnav.ins import (
     run_recordings,
 )
 from zvnav.quat import quat_from_rotvec, rotmat_from_quat
-from zvnav.threshold import ThresholdParams
+from zvnav.threshold import ThresholdParams, log_threshold
 
 GRAV = 9.81
 G_VEC = np.array([0.0, 0.0, -GRAV])
@@ -95,9 +101,10 @@ class TestStateTypes:
 class TestPropagate:
     def test_equilibrium(self, q_rate):
         p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
-        p2, v2, q2, P2 = _propagate(p, v, q, P, np.array([[0.0, 0.0, GRAV]]),
-                                    quat_from_rotvec(np.zeros((1, 3))), np.array([1.0 / 250.0]),
-                                    G_VEC, q_rate)
+        step = next(_step_inputs(np.array([[[0.0, 0.0, GRAV]]]),
+                                 quat_from_rotvec(np.zeros((1, 1, 3))), np.array([[1.0 / 250.0]]),
+                                 q_rate))
+        p2, v2, q2, P2 = _propagate(p, v, q, P, step, G_VEC)
         np.testing.assert_allclose(p2, 0.0, atol=1e-15)
         np.testing.assert_allclose(v2, 0.0, atol=1e-15)
         np.testing.assert_allclose(q2, q, atol=1e-15)
@@ -105,19 +112,20 @@ class TestPropagate:
 
     def test_quarter_turn_heading(self, q_rate):
         p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
-        dq = quat_from_rotvec(np.array([[0.0, 0.0, math.pi / 2]]))
-        _, _, q2, _ = _propagate(p, v, q, P, np.array([[0.0, 0.0, GRAV]]), dq, np.array([1.0]),
-                                 G_VEC, q_rate)
+        dq = quat_from_rotvec(np.array([[[0.0, 0.0, math.pi / 2]]]))
+        step = next(_step_inputs(np.array([[[0.0, 0.0, GRAV]]]), dq, np.array([[1.0]]), q_rate))
+        _, _, q2, _ = _propagate(p, v, q, P, step, G_VEC)
         R = rotmat_from_quat(q2[0, 0])
         np.testing.assert_allclose(R @ [1, 0, 0], [0, 1, 0], atol=1e-12)
         assert np.linalg.norm(q2[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_residual_integrates_to_expected_speed(self, q_rate):
         p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
-        accel = np.array([[0.1, 0.0, GRAV]])
-        dq = quat_from_rotvec(np.zeros((1, 3)))
+        accel = np.array([[[0.1, 0.0, GRAV]]])
+        dq = quat_from_rotvec(np.zeros((1, 1, 3)))
         for _ in range(250):
-            p, v, q, P = _propagate(p, v, q, P, accel, dq, np.array([1.0 / 250.0]), G_VEC, q_rate)
+            step = next(_step_inputs(accel, dq, np.array([[1.0 / 250.0]]), q_rate))
+            p, v, q, P = _propagate(p, v, q, P, step, G_VEC)
         assert np.linalg.norm(v[0, 0]) == pytest.approx(0.1, abs=1e-6)
 
 
@@ -156,12 +164,62 @@ class TestZuptUpdate:
         for _ in range(200):
             accel = [0, 0, GRAV] + 0.3 * rng.standard_normal(3)
             gyro = 0.1 * rng.standard_normal(3)
-            p, v, q, P = _propagate(p, v, q, P, accel[None], quat_from_rotvec(gyro * dt)[None],
-                                    np.array([dt]), G_VEC, q_rate)
+            step = next(_step_inputs(accel[None, None], quat_from_rotvec(gyro * dt)[None, None],
+                                     np.array([[dt]]), q_rate))
+            p, v, q, P = _propagate(p, v, q, P, step, G_VEC)
             before = np.trace(P[0, 0, 3:6, 3:6])
             p, v, q, P = _zupt(p, v, q, P, nm.sigma_zupt**2)
             after = np.trace(P[0, 0, 3:6, 3:6])
             assert after <= before + 1e-15
+
+
+    @staticmethod
+    def zupt_reference(p, v, q, P, r_var):
+        """The update as written with np.linalg.inv and its wrapper's checks."""
+        S = P[..., 3:6, 3:6] + r_var * np.eye(3)
+        Kt = np.linalg.inv(S) @ P[..., 3:6, :]
+        K = Kt.swapaxes(-1, -2)
+        dx = (-v[..., None, :] @ Kt)[..., 0, :]
+        left = (quat_from_rotvec(dx[..., 6:9]) @ _QMUL.reshape(4, 16)).reshape(q.shape + (4,))
+        q = (left @ q[..., None])[..., 0]
+        q = q / np.sqrt((q[..., None, :] @ q[..., :, None])[..., 0])
+        A = P - K @ P[..., 3:6, :]
+        P = A - A[..., 3:6] @ Kt + r_var * (K @ Kt)
+        return p + dx[..., 0:3], v + dx[..., 3:6], q, 0.5 * (P + P.swapaxes(-1, -2))
+
+    def test_inverse_matches_linalg_inv_bit_for_bit(self, nm):
+        """One lane, a (3, 4) lane stack and the lanes gathered from it, as the
+        loop gathers the lanes that fire: each equals the np.linalg.inv form."""
+        rng = np.random.default_rng(41)
+        shape = (3, 4)
+        p = rng.standard_normal(shape + (3,))
+        v = 0.3 * rng.standard_normal(shape + (3,))
+        q = rng.standard_normal(shape + (4,))
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        A = rng.standard_normal(shape + (9, 9))
+        P = 1e-3 * (A @ A.swapaxes(-1, -2))
+        fire = rng.random(shape) < 0.5
+        assert 1 < fire.sum() < fire.size
+        r_var = nm.sigma_zupt**2
+        for stack in ((p[:1, :1], v[:1, :1], q[:1, :1], P[:1, :1]), (p, v, q, P),
+                      (p[fire], v[fire], q[fire], P[fire])):
+            got = _zupt(*stack, r_var)
+            expected = self.zupt_reference(*stack, r_var)
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_singular_innovation_covariance_raises_at_default_errstate(self, nm):
+        """S = P_vv + r I exactly zero: a NumericalError, not a warning, from
+        _zupt called on its own, on one lane and on a gathered stack."""
+        P = default_initial_covariance()
+        P[3:6, 3:6] = -nm.sigma_zupt**2 * np.eye(3)
+        stacks = [one_lane(NavState.identity(), P),
+                  tuple(np.repeat(x[0], 2, axis=0) for x in one_lane(NavState.identity(), P))]
+        for stack in stacks:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="not invertible"):
+                    _zupt(*stack, nm.sigma_zupt**2)
 
 
 class TestCovarianceHealthFuzz:
@@ -172,8 +230,9 @@ class TestCovarianceHealthFuzz:
         for _ in range(2000):
             accel = [0, 0, GRAV] + rng.standard_normal(3) * 2.0
             gyro = rng.standard_normal(3) * 1.5
-            p, v, q, P = _propagate(p, v, q, P, accel[None], quat_from_rotvec(gyro * dt)[None],
-                                    np.array([dt]), G_VEC, q_rate)
+            step = next(_step_inputs(accel[None, None], quat_from_rotvec(gyro * dt)[None, None],
+                                     np.array([[dt]]), q_rate))
+            p, v, q, P = _propagate(p, v, q, P, step, G_VEC)
             if rng.random() < 0.3:
                 p, v, q, P = _zupt(p, v, q, P, nm.sigma_zupt**2)
             lane_P = P[0, 0]
@@ -519,6 +578,87 @@ class TestLaneKernel:
         assert out.log_gamma[k, 0] == params.c1 + params.c2 * (t[k] - t[0])
 
 
+def lanes_reference(recs, states, noise, pn, lanes, first_window, logls):
+    """_filter_lanes sample by sample, with one _step_inputs call per step:
+    the no-op steps past a recording's end, xi on the c3 != 0 lanes of
+    recordings still running, the one threshold rule and the gather of the
+    lanes that fire."""
+    R, C, n = len(recs), len(lanes), max(len(rec.t) for rec in recs)
+    increments = [_increments(rec.t, rec.gyro) for rec in recs]
+    q_rate = np.array([_process_rate(pn)] * R)[:, None]
+    g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
+    coef = SimpleNamespace(**{name: np.array([[getattr(lane, name) for lane in lanes]])
+                              for name in ("c1", "c2", "c3")})
+    p, v, q = (np.array([[getattr(s, x)] * C for s in states]) for x in "pvq")
+    P = np.tile(default_initial_covariance(), (R, C, 1, 1))
+    xi = np.full((R, C), np.nan)
+    t_last = np.array([[rec.t[0]] * C for rec in recs])
+    trajectory = np.full((n, R, C, 3), np.nan)
+    decisions = np.zeros((n, R, C), dtype=bool)
+    log_gamma = np.full((n, R, C), np.nan)
+    for k in range(n):
+        accel, dq = np.zeros((1, R, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (1, R, 1))
+        dt, t_k, logl = np.zeros((1, R)), np.empty((R, 1)), np.full((R, 1), np.nan)
+        for r, (rec, (dts, dqs)) in enumerate(zip(recs, increments)):
+            m = len(rec.t)
+            t_k[r] = rec.t[min(k, m - 1)]
+            if k < m:
+                dt[0, r], dq[0, r], logl[r] = dts[k], dqs[k], logls[r][k]
+                accel[0, r] = rec.accel[k - 1] if k else 0.0
+        p, v, q, P = _propagate(p, v, q, P, next(_step_inputs(accel, dq, dt, q_rate)), g_vec)
+        if k >= first_window:
+            for r, rec in enumerate(recs):
+                for c, lane in enumerate(lanes):
+                    if lane.c3 != 0.0 and k < len(rec.t):
+                        xi[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist())
+            log_gamma[k] = log_threshold(coef, t_k - t_last, xi)
+            fire = decisions[k] = logl > log_gamma[k]
+            if fire.all():
+                p, v, q, P = _zupt(p, v, q, P, noise.sigma_zupt**2)
+            elif fire.any():
+                p[fire], v[fire], q[fire], P[fire] = _zupt(p[fire], v[fire], q[fire], P[fire],
+                                                           noise.sigma_zupt**2)
+            t_last = np.where(fire, t_k, t_last)
+        for r, rec in enumerate(recs):
+            if k < len(rec.t):
+                trajectory[k, r] = p[r]
+    L = R * C
+    return (trajectory.reshape(n, L, 3), decisions.reshape(n, L), log_gamma.reshape(n, L),
+            q.reshape(L, 4), P.reshape(L, 9, 9))
+
+
+class TestStepBlocks:
+    """_step_inputs builds the step factors _BLOCK steps at a time; the loop
+    that takes them matches one that builds them one step at a time."""
+
+    @pytest.fixture(scope="class")
+    def walks(self):
+        noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
+        normal = simulate(normal_profile(noise, seed=1000), 6.0).to_recording("n", "normal")
+        fast = simulate(fast_profile(noise, seed=1500), 5.0).to_recording("f", "fast")
+        return noise, normal, fast
+
+    @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_blocks_match_per_step_inputs_bit_for_bit(self, walks, n, paired):
+        noise, normal, fast = walks
+        recs = [Recording("a", normal.t[:n], normal.accel[:n], normal.gyro[:n])]
+        if paired:  # a second recording of another length
+            m = 2 * _BLOCK + 3 if n < 2 * _BLOCK else _BLOCK + 1
+            recs.append(Recording("b", fast.t[:m], fast.accel[:m], fast.gyro[:m]))
+        lanes = [CALIBRATED, ThresholdParams(-20.0), ThresholdParams(-79.0, -1000.0, 0.002)]
+        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        states = [align_from_standstill(rec) for rec in recs]
+        logls = [shoe_log_lr_trace(rec.accel, rec.gyro, 5, noise) for rec in recs]
+        out = _filter_lanes([rec.t for rec in recs], [rec.accel for rec in recs],
+                            [rec.gyro for rec in recs], states, default_initial_covariance(),
+                            noise, [pn] * len(recs), 4, lanes=lanes, logl=logls)
+        expected = lanes_reference(recs, states, noise, pn, lanes, 4, logls)
+        assert out.decisions.any() and not out.decisions.all()
+        for got, want in zip(out, expected):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def label_pass_reference(rec, noise, pn, zupts, xi_mask):
     """The label-driven pass sample by sample on a one-lane stack: _propagate
     at every sample k >= 1, _xi on the xi_mask samples from the covariance
@@ -530,9 +670,10 @@ def label_pass_reference(rec, noise, pn, zupts, xi_mask):
     xis, blocks = [], []
     for k in range(1, len(rec.t)):
         dt = rec.t[k] - rec.t[k - 1]
-        p, v, q, P = _propagate(p, v, q, P, rec.accel[k - 1:k],
-                                quat_from_rotvec(rec.gyro[k - 1:k] * dt), np.array([dt]),
-                                g_vec, q_rate)
+        step = next(_step_inputs(rec.accel[None, k - 1:k],
+                                 quat_from_rotvec(rec.gyro[None, k - 1:k] * dt),
+                                 np.array([[dt]]), q_rate))
+        p, v, q, P = _propagate(p, v, q, P, step, g_vec)
         blocks.append((P[0, 0, 3:6, 3:6], v[0, 0]))
         if xi_mask[k]:
             ev = _xi(P[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist())
@@ -563,8 +704,9 @@ class TestCoast:
                                          dt[a + 1:b + 1], g_vec, q_rate)
         sp, sv, sq, sP = p[None, None], v[None, None], q[None, None], P[None, None]
         for k in range(a + 1, b + 1):
-            sp, sv, sq, sP = _propagate(sp, sv, sq, sP, rec.accel[k - 1:k], dq[k:k + 1],
-                                        dt[k:k + 1], g_vec, q_rate[None, None])
+            step = next(_step_inputs(rec.accel[None, k - 1:k], dq[None, k:k + 1],
+                                     dt[None, k:k + 1], q_rate[None, None]))
+            sp, sv, sq, sP = _propagate(sp, sv, sq, sP, step, g_vec)
             j = k - a - 1
             assert np.abs(vs[j] - sv[0, 0]).max() <= 1e-9
             scale = np.abs(sP[0, 0, 3:6, 3:6]).max()
@@ -603,8 +745,9 @@ class TestCoast:
         k = 1
         while k < len(rec.t):
             if zupts[k]:
-                p, v, q, P = _propagate(p, v, q, P, rec.accel[k - 1:k], dq[k:k + 1],
-                                        dt[k:k + 1], g_vec, q_rate)
+                step = next(_step_inputs(rec.accel[None, k - 1:k], dq[None, k:k + 1],
+                                         dt[None, k:k + 1], q_rate))
+                p, v, q, P = _propagate(p, v, q, P, step, g_vec)
                 p, v, q, P = _zupt(p, v, q, P, noise.sigma_zupt**2)
                 k += 1
                 continue

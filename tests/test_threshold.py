@@ -111,6 +111,11 @@ class TestLogThreshold:
             log_threshold(ThresholdParams(0.0), -1.0, 0.0)
         with pytest.raises(ValueError):
             log_threshold(ThresholdParams(0.0), np.array([[0.5, -1e-12]]), None)
+        # NaN is no valid dt either, as a scalar or as one entry of a lane stack
+        with pytest.raises(ValueError):
+            log_threshold(ThresholdParams(1.0, -1.0), math.nan, None)
+        with pytest.raises(ValueError):
+            log_threshold(ThresholdParams(1.0, -1.0), np.array([[0.5, math.nan]]), None)
 
     def test_elementwise_matches_scalar_calls(self):
         # lane-stacked (R, C) coefficients, dt and xi, as the filter loop
