@@ -16,7 +16,6 @@ from .gaitsim import (
     simulate,
 )
 from .ins import (
-    NavState,
     ProcessNoise,
     RunReport,
     align_from_standstill,
@@ -47,7 +46,6 @@ __all__ = [
     "hypothesis_prior",
     "log_threshold",
     "calibrate",
-    "NavState",
     "ProcessNoise",
     "RunReport",
     "align_from_standstill",

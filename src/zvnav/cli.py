@@ -36,7 +36,7 @@ import numpy as np
 
 from .config import SCHEMA, choices, default_config, format_config, format_key_values
 from .config import format_value, key_values, load_config, merge_config, read_lines
-from .core import PERIOD_REL_TOL, NoiseModel, Recording
+from .core import PERIOD_REL_TOL, NoiseModel, Recording, validate_stream
 from .detectors import check_gravity_direction, get_detector
 from .errors import ConfigError, InputFormatError, NumericalError, StreamFormatError
 from .gaitsim import (
@@ -445,7 +445,6 @@ def cmd_run(rec: Recording, cfg: dict[str, Any]) -> RunReport:
         noise_from_config(cfg),
         process_noise_from_config(cfg),
         window_samples=_check_window(cfg),
-        recording_id=rec.id,
     )
 
 
@@ -493,10 +492,8 @@ def cmd_sweep(
 
     # one lane per (recording, config), all stepped together in one loop
     lanes = [params for _, _, params in configs]
-    runs = run_recordings(
-        recordings, cfg["detector"], lanes, noise, pn,
-        window_samples=window, recording_ids=[rec.id for rec in recordings],
-    )
+    runs = run_recordings(recordings, cfg["detector"], lanes, noise, pn,
+                          window_samples=window)
     errors = [[report.loop_closure_error_m for report in reports] for reports in runs]
 
     tags = sorted({recordings[i].gait_tag for i in included} - {None})
@@ -592,10 +589,12 @@ def cmd_calibrate(rec: Recording, cfg: dict[str, Any]) -> ThresholdParams:
     """Fit threshold coefficients from one labeled recording.
 
     The uninformative prior drops the speed term (c3 = 0); the informative
-    prior anchors it at the reference swing speed statistic.
+    prior anchors it at the reference swing speed statistic. The stream
+    must pass validate_stream, as for run and sweep.
     """
     noise = noise_from_config(cfg)
     n = _check_window(cfg)
+    validate_stream(rec)
     sets = extract_calibration_sets(rec, n, noise=noise, pn=process_noise_from_config(cfg),
                                     reference_xi=cfg["prior"] == "informative")
     det = get_detector(cfg["detector"])

@@ -49,34 +49,17 @@ class NoiseModel:
 PERIOD_REL_TOL = 0.1
 
 
-def validate_stream(stream) -> None:
-    """Check monotone time, finite values, and near-uniform sampling.
+def validate_stream(rec: Recording) -> None:
+    """Check near-uniform sampling, the one stream check that
+    :class:`Recording` leaves to the commands that need a sample rate.
 
-    Accepts what :func:`stream_to_arrays` accepts. The sampling period is
-    compared against the median period; a relative deviation beyond
-    ``PERIOD_REL_TOL`` is flagged. Raises StreamFormatError whose ``index``
-    is the first offending sample (None for an empty stream).
+    Each sample period is compared against the median period; a relative
+    deviation beyond ``PERIOD_REL_TOL`` raises StreamFormatError whose
+    ``index`` is the first offending sample.
     """
-    t, accel, gyro = stream_to_arrays(stream)
-    if len(t) == 0:
-        raise StreamFormatError("empty stream")
-
-    bad_t = ~np.isfinite(t)
-    bad_a = ~np.isfinite(accel).all(axis=1)
-    bad_w = ~np.isfinite(gyro).all(axis=1)
-    bad = bad_t | bad_a | bad_w
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise StreamFormatError(f"non-finite value at sample {i}", index=i)
-
-    if len(t) == 1:
+    if len(rec.t) < 2:
         return
-
-    dt = np.diff(t)
-    if (dt <= 0).any():
-        i = int(np.argmax(dt <= 0)) + 1
-        raise StreamFormatError(f"non-increasing time at sample {i}", index=i)
-
+    dt = np.diff(rec.t)
     median = float(np.median(dt))
     rel_dev = np.abs(dt - median) / median
     max_dev = float(rel_dev.max())
@@ -89,18 +72,6 @@ def validate_stream(stream) -> None:
         )
 
 
-def stream_to_arrays(stream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize a stream to ``(t, accel, gyro)`` float arrays.
-
-    Accepts an array triple or an object exposing ``t``/``accel``/``gyro``
-    attributes (e.g. Recording).
-    """
-    if hasattr(stream, "t"):
-        stream = (stream.t, stream.accel, stream.gyro)
-    t, accel, gyro = (np.asarray(x, dtype=float) for x in stream)
-    return t, accel, gyro
-
-
 @dataclass
 class Recording:
     """An ingested or simulated IMU recording plus evaluation metadata.
@@ -109,6 +80,10 @@ class Recording:
     ``loop_length_m`` marks a closed loop of known path length, which is what
     qualifies the recording for loop-closure RMSE aggregation. ``stationary``
     carries per-sample ground-truth labels when available.
+
+    Building one is the stream check of shape, length, finiteness and
+    increasing time; a failure raises StreamFormatError, whose ``index`` is
+    the first bad sample where there is one.
     """
 
     id: str
@@ -130,14 +105,16 @@ class Recording:
             )
         if n == 0:
             raise StreamFormatError(f"recording {self.id}: empty stream")
-        if not (
-            np.isfinite(self.t).all()
-            and np.isfinite(self.accel).all()
-            and np.isfinite(self.gyro).all()
-        ):
-            raise StreamFormatError(f"recording {self.id}: non-finite values")
-        if n > 1 and (np.diff(self.t) <= 0).any():
-            i = int(np.argmax(np.diff(self.t) <= 0)) + 1
+        bad = ~(np.isfinite(self.t) & np.isfinite(self.accel).all(axis=1)
+                & np.isfinite(self.gyro).all(axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StreamFormatError(
+                f"recording {self.id}: non-finite value at sample {i}", index=i
+            )
+        back = np.diff(self.t) <= 0
+        if back.any():
+            i = int(np.argmax(back)) + 1
             raise StreamFormatError(
                 f"recording {self.id}: non-increasing time at sample {i}", index=i
             )

@@ -142,15 +142,11 @@ DETECTORS: dict[str, DetectorSpec] = {
 }
 
 
-def get_detector(detector) -> DetectorSpec:
-    """Resolve a detector by name or spec."""
-    if isinstance(detector, DetectorSpec):
-        return detector
-    if isinstance(detector, str):
-        try:
-            return DETECTORS[detector]
-        except KeyError:
-            raise ValueError(
-                f"unknown detector {detector!r}; expected one of {sorted(DETECTORS)}"
-            ) from None
-    raise TypeError(f"cannot interpret {detector!r} as a detector")
+def get_detector(name: str) -> DetectorSpec:
+    """The registered detector called ``name``; ValueError for any other name."""
+    try:
+        return DETECTORS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown detector {name!r}; expected one of {sorted(DETECTORS)}"
+        ) from None

@@ -30,9 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NoiseModel, Recording, stream_to_arrays
+from .core import NoiseModel, Recording
 from .errors import CalibrationDataError, ConfigError
-from .ins import NavState, ProcessNoise, _label_pass, default_initial_covariance
+from .ins import ProcessNoise, _label_pass, default_initial_covariance
 from .ins import derived_process_noise
 from .quat import quat_conj, quat_mul, rotmat_from_quat
 
@@ -423,9 +423,8 @@ def _reference_xi_median(rec, noise: NoiseModel, pn: ProcessNoise, swing_mask) -
         raise CalibrationDataError("no usable swing samples for the speed evidence")
     # the pass is causal, so samples after the last swing sample cannot change xi
     end = int(np.flatnonzero(swing_mask)[-1]) + 1
-    t, accel, gyro = stream_to_arrays(rec)
-    xis = _label_pass(t[:end], accel[:end], gyro[:end], NavState.identity(),
-                      default_initial_covariance(), noise, pn,
+    xis = _label_pass(rec.t[:end], rec.accel[:end], rec.gyro[:end],
+                      np.array([1.0, 0.0, 0.0, 0.0]), default_initial_covariance(), noise, pn,
                       np.asarray(rec.stationary)[:end], swing_mask[:end])
     if not xis.size:
         raise CalibrationDataError("no usable swing samples for the speed evidence")

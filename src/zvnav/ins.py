@@ -12,8 +12,10 @@ a_meas = R^T (a_true - g_vec), so at rest R @ a_meas + g_vec = 0.
 One loop drives the filter: propagate on every sample interval, score
 the causal detector window ending at the current sample, compare against
 the adaptive threshold, and apply a zero-velocity update when the
-statistic crosses it. It steps an (R recordings x C configs) grid of
-lanes at once for the longest recording's n steps; a shorter recording
+statistic crosses it. Every lane starts at rest (p = v = 0) from the
+attitude levelled from its recording's first second. It steps an
+(R recordings x C configs) grid of lanes at once for the longest
+recording's n steps; a shorter recording
 takes no-op steps past its end, as costly as real ones (a 30 s plus a 5 s
 walk: +18% over ending the 5 s lanes early). run_recordings is the
 general call (one per sweep), run_pipeline its one-recording, one-lane
@@ -37,14 +39,13 @@ import numpy as np
 # bit. CI pins numpy 2.4.6, and the golden digests would catch a change.
 from numpy.linalg._umath_linalg import inv as _inv
 
-from .core import NoiseModel, stream_to_arrays, validate_stream
+from .core import NoiseModel, Recording, validate_stream
 from .detectors import get_detector
 from .errors import ConfigError, NumericalError, StreamFormatError
 from .quat import quat_between, quat_conj, quat_from_rotvec, quat_mul, quat_normalize
 from .quat import rotmat_from_quat, skew
 from .threshold import ThresholdParams, log_threshold
 
-_QUAT_NORM_TOL = 1e-6
 _E_Z = np.array([0.0, 0.0, 1.0])
 
 # Default 1-sigma of the initial error state: 1 mm, 1 mm/s, 1 mrad.
@@ -56,32 +57,6 @@ ALIGN_SPAN_S = 1.0
 # Above this 1-norm condition estimate of the velocity covariance the
 # speed evidence is unreliable; callers fall back to the uninformative prior.
 XI_COND_BOUND = 1e12
-
-
-@dataclass(frozen=True)
-class NavState:
-    """Nominal navigation state: position m, velocity m/s, attitude quaternion."""
-
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).reshape(3)
-        v = np.asarray(self.v, dtype=float).reshape(3)
-        q = np.asarray(self.q, dtype=float).reshape(4)
-        if not (np.isfinite(p).all() and np.isfinite(v).all() and np.isfinite(q).all()):
-            raise ValueError("navigation state must be finite")
-        norm = float(np.linalg.norm(q))
-        if abs(norm - 1.0) > _QUAT_NORM_TOL:
-            raise ValueError(f"quaternion norm {norm} too far from 1")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "q", q / norm)
-
-    @classmethod
-    def identity(cls) -> "NavState":
-        return cls(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 @dataclass(frozen=True)
@@ -126,20 +101,15 @@ def default_initial_covariance() -> np.ndarray:
     return np.diag(stds**2)
 
 
-def align_from_standstill(stream) -> NavState:
-    """Level the platform from the first ALIGN_SPAN_S of standstill data:
-    gravity fixes roll and pitch, heading starts at zero (minimal rotation
-    onto the vertical)."""
-    t, accel, _ = stream_to_arrays(stream)
-    if len(t) == 0:
-        raise StreamFormatError("cannot align from an empty stream")
-    mask = t <= t[0] + ALIGN_SPAN_S
-    mean = accel[mask].mean(axis=0)
+def align_from_standstill(rec: Recording) -> np.ndarray:
+    """The unit attitude quaternion (4,) levelled from the first ALIGN_SPAN_S
+    of the recording, taken as standstill: gravity fixes roll and pitch,
+    heading starts at zero (minimal rotation onto the vertical)."""
+    mean = rec.accel[rec.t <= rec.t[0] + ALIGN_SPAN_S].mean(axis=0)
     norm = float(np.linalg.norm(mean))
     if norm <= 0.0 or not math.isfinite(norm):
         raise NumericalError("cannot align: mean accelerometer vector is degenerate")
-    q = quat_normalize(quat_between(mean / norm, _E_Z))
-    return NavState(np.zeros(3), np.zeros(3), q)
+    return quat_normalize(quat_between(mean / norm, _E_Z))
 
 
 # Constant operators of the step, built from quat_mul and skew so each
@@ -335,13 +305,14 @@ class _LaneTraces(NamedTuple):
     P: np.ndarray  # (L, 9, 9) final covariance
 
 
-def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
+def _filter_lanes(t, accel, gyro, q0, cov0, noise, pn, first_window, *,
                   lanes, logl) -> _LaneTraces:
     """The filter loop: C lanes on each of R recordings, stepped together.
 
-    ``t``, ``accel``, ``gyro``, ``state0``, ``pn`` and ``logl`` hold one
-    entry per recording. Lane r * C + c runs recording r under lanes[c] from
-    (state0[r], cov0) for n steps, n the longest recording. Step 0, and each
+    ``t``, ``accel``, ``gyro``, ``q0``, ``pn`` and ``logl`` hold one entry
+    per recording. Lane r * C + c runs recording r under lanes[c] for n
+    steps, n the longest recording, from p = v = 0, attitude q0[r] and
+    covariance cov0. Step 0, and each
     step past a recording's last sample, is a no-op step (dt = 0, the
     identity gyro increment, the last time held, a NaN statistic): it
     leaves p, v and a symmetric P as they were and never fires. From sample
@@ -378,8 +349,8 @@ def _filter_lanes(t, accel, gyro, state0, cov0, noise, pn, first_window, *,
     xi_lanes = [c for c, lane in enumerate(lanes) if lane.c3 != 0.0]
     xi = np.full((R, C), np.nan) if xi_lanes else None  # NaN: no speed evidence
 
-    p, v, q = (np.repeat(np.array([getattr(s, x) for s in state0])[:, None], C, 1)
-               for x in "pvq")
+    p, v = np.zeros((R, C, 3)), np.zeros((R, C, 3))
+    q = np.repeat(np.array(q0)[:, None], C, 1)
     P = np.tile(cov0, (R, C, 1, 1))
     trajectory = np.empty((n, R, C, 3))
     log_gamma = np.full((n, R, C), np.nan)
@@ -440,9 +411,10 @@ def _coast_inputs(t, accel, gyro):
     return dt, dq, G, fb
 
 
-def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.ndarray:
-    """One lane on one recording under supplied decisions, an update at each
-    sample k >= 1 where zupts[k] is set, stepped from update to update: one
+def _label_pass(t, accel, gyro, q0, cov0, noise, pn, zupts, xi_mask) -> np.ndarray:
+    """One lane on one recording under supplied decisions, from p = v = 0,
+    attitude q0 and covariance cov0, with an update at each sample k >= 1
+    where zupts[k] is set, stepped from update to update: one
     _propagate and one _zupt per update sample, one _coast per run of
     samples between. Returns xi, in sample order, on the samples k >= 1 in
     xi_mask (before that sample's update), without fallbacks. A coast sample
@@ -453,7 +425,7 @@ def _label_pass(t, accel, gyro, state0, cov0, noise, pn, zupts, xi_mask) -> np.n
     q_rate = _process_rate(pn)
     r_var = noise.sigma_zupt**2
     # the state as a stack of one lane on one recording, as _propagate takes it
-    p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, cov0))
+    p, v, q, P = (x[None, None] for x in (np.zeros(3), np.zeros(3), q0, cov0))
     xis = []
     a = 0  # the last update, or the start
     updates = np.flatnonzero(np.asarray(zupts[1:], dtype=bool)) + 1
@@ -511,51 +483,52 @@ class RunReport:
 
 
 def run_recordings(
-    streams, detector, lanes, noise: NoiseModel, pn: ProcessNoise | None = None,
-    *, window_samples: int = 5, recording_ids=None,
+    recs: list[Recording], detector: str, lanes, noise: NoiseModel,
+    pn: ProcessNoise | None = None, *, window_samples: int = 5,
 ) -> list[list[RunReport]]:
-    """Run detector + filter over each stream once per ThresholdParams in
-    ``lanes``, stepping every (stream, lane) pair together in one loop.
-    Returns, per stream in order, one report per lane in order.
+    """Run detector + filter over each recording once per ThresholdParams in
+    ``lanes``, stepping every (recording, lane) pair together in one loop.
+    Returns, per recording in order, one report per lane in order, each
+    named by its recording's ``id``.
 
-    Validation, the detector trace, the process noise (when ``pn`` is None)
-    and the initial state (levelled from the stream's first second, with
-    the default covariance) are computed per stream, in order, so the first
-    bad stream raises. Streams may differ in length and sample rate.
+    Per recording, in order, so the first bad one raises: the sampling-period
+    check (validate_stream), the trace of the detector named ``detector``,
+    the process noise (when ``pn`` is None) and the initial attitude
+    (align_from_standstill). Every lane starts at rest with the default
+    covariance. Recordings may differ in length and sample rate.
     """
-    if not streams:
+    if not recs:
         return []
-    recording_ids = recording_ids or [""] * len(streams)
-    ts, accels, gyros, logls, states, pns = [], [], [], [], [], []
-    for stream in streams:
-        t, accel, gyro = stream_to_arrays(stream)
-        if len(t) < 2:
+    logls, q0s, pns = [], [], []
+    for rec in recs:
+        if len(rec.t) < 2:
             raise StreamFormatError("pipeline needs at least 2 samples")
-        validate_stream((t, accel, gyro))
+        validate_stream(rec)
         spec = get_detector(detector)
-        logls.append(spec.trace(accel, gyro, window_samples, noise))
-        pns.append(derived_process_noise(noise, t) if pn is None else pn)
-        states.append(align_from_standstill((t, accel, gyro)))
-        ts.append(t)
-        accels.append(accel)
-        gyros.append(gyro)
+        logls.append(spec.trace(rec.accel, rec.gyro, window_samples, noise))
+        pns.append(derived_process_noise(noise, rec.t) if pn is None else pn)
+        q0s.append(align_from_standstill(rec))
     cov0 = default_initial_covariance()
 
+    def lanes_of(rs):
+        return _filter_lanes([recs[r].t for r in rs], [recs[r].accel for r in rs],
+                             [recs[r].gyro for r in rs], [q0s[r] for r in rs], cov0, noise,
+                             [pns[r] for r in rs], window_samples - 1, lanes=lanes,
+                             logl=[logls[r] for r in rs])
+
     try:
-        out = _filter_lanes(ts, accels, gyros, states, cov0, noise, pns, window_samples - 1,
-                            lanes=lanes, logl=logls)
+        out = lanes_of(range(len(recs)))
     except NumericalError as exc:
-        if len(ts) == 1:
-            raise NumericalError(f"recording {recording_ids[0]}: {exc}") from exc
-        for r, rec_id in enumerate(recording_ids):  # the first that fails on its own
+        if len(recs) == 1:
+            raise NumericalError(f"recording {recs[0].id}: {exc}") from exc
+        for r, rec in enumerate(recs):  # the first that fails on its own
             try:
-                _filter_lanes([ts[r]], [accels[r]], [gyros[r]], [states[r]], cov0, noise,
-                              [pns[r]], window_samples - 1, lanes=lanes, logl=[logls[r]])
+                lanes_of([r])
             except NumericalError as own:
-                raise NumericalError(f"recording {rec_id}: {own}") from exc
+                raise NumericalError(f"recording {rec.id}: {own}") from exc
         raise
     reports = []
-    for r, (t, logl, rate, rec_id) in enumerate(zip(ts, logls, pns, recording_ids)):
+    for r, (rec, logl, rate) in enumerate(zip(recs, logls, pns)):
         shared = {
             "detector": spec.name,
             "window_samples": window_samples,
@@ -567,13 +540,13 @@ def run_recordings(
             "gyro_psd": rate.gyro_psd,
             "xi_cond_bound": XI_COND_BOUND,
         }
-        n = len(t)
+        n = len(rec.t)
         row = []
         for c, lane in enumerate(lanes):
             b = r * len(lanes) + c
             trajectory = out.trajectory[:n, b]
             row.append(RunReport(
-                recording_id=rec_id,
+                recording_id=rec.id,
                 trajectory=trajectory,
                 decisions=out.decisions[:n, b],
                 logl_trace=logl,
@@ -585,13 +558,12 @@ def run_recordings(
     return reports
 
 
-def run_pipeline(stream, detector, threshold_params: ThresholdParams, noise: NoiseModel,
-                 pn: ProcessNoise | None = None, *, window_samples: int = 5,
-                 recording_id: str = "") -> RunReport:
-    """Run detector + filter over one stream and report traces and drift:
-    run_recordings with the one stream ``stream`` and the one lane
-    ``threshold_params``; ``recording_id`` names it."""
-    ((report,),) = run_recordings([stream], detector, [threshold_params], noise, pn,
-                                  window_samples=window_samples,
-                                  recording_ids=[recording_id])
+def run_pipeline(rec: Recording, detector: str, threshold_params: ThresholdParams,
+                 noise: NoiseModel, pn: ProcessNoise | None = None, *,
+                 window_samples: int = 5) -> RunReport:
+    """Run detector + filter over one recording and report traces and drift:
+    run_recordings with the one recording ``rec`` and the one lane
+    ``threshold_params``."""
+    ((report,),) = run_recordings([rec], detector, [threshold_params], noise, pn,
+                                  window_samples=window_samples)
     return report

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-# Below this angle the log map switches to its series form.
+# Below this the cross product in quat_between counts as parallel.
 _SMALL_ANGLE = 1e-8
 
 
@@ -50,26 +50,11 @@ def quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     angle = np.hypot(np.hypot(phi[..., 0], phi[..., 1]), phi[..., 2])
     half = 0.5 * angle
-    # k = sin(x/2)/x. Below _SMALL_ANGLE it rounds to the series value
+    # k = sin(x/2)/x. Below about 1e-8 it rounds to the series value
     # 1/2 - x^2/48 = 1/2; at x = 0, phi is zero and any finite k will do,
     # so the divisor becomes 1 there instead of forming 0/0.
     k = np.sin(half) / (angle + (angle == 0.0))
     return np.concatenate((np.cos(half)[..., None], k[..., None] * phi), axis=-1)
-
-
-def rotvec_from_quat(q: np.ndarray) -> np.ndarray:
-    """Log map: quaternion to rotation vector, shortest arc (angle <= pi)."""
-    w, x, y, z = q
-    if w < 0.0:  # q and -q encode one rotation; pick the short branch
-        w, x, y, z = -w, -x, -y, -z
-    s = math.sqrt(x * x + y * y + z * z)
-    angle = 2.0 * math.atan2(s, w)
-    if s < _SMALL_ANGLE:
-        # angle/sin(angle/2) = 2 + angle^2/12 + O(angle^4)
-        k = 2.0 + angle * angle / 12.0
-    else:
-        k = angle / s
-    return np.array([k * x, k * y, k * z])
 
 
 def rotmat_from_quat(q: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from zvnav.core import NoiseModel
 from zvnav.detectors import are_log_lr, shoe_log_lr, shoe_log_lr_trace
 from zvnav.gaitsim import extract_calibration_sets, make_corpus, normal_profile, simulate
 from zvnav.ins import (
-    NavState,
     ProcessNoise,
     _process_rate,
     _propagate,
@@ -114,9 +113,7 @@ class TestAcceptance:
         mismatches = 0
         fired_total = 0
         for rec in corpus:
-            report = run_pipeline(
-                rec, "shoe", params, NM, window_samples=WINDOW, recording_id=rec.id
-            )
+            report = run_pipeline(rec, "shoe", params, NM, window_samples=WINDOW)
             logl = shoe_log_lr_trace(rec.accel, rec.gyro, WINDOW, NM)
             fixed_decisions = logl > c1  # NaN warm-up compares False
             if not np.array_equal(report.decisions, fixed_decisions):
@@ -171,8 +168,8 @@ class TestAcceptance:
         rng = np.random.default_rng(404)
         q_rate = _process_rate(ProcessNoise.from_sample_noise(NM, 250.0))[None, None]
         g_vec = np.array([0.0, 0.0, -NM.gravity_mag])
-        state = NavState.identity()
-        p, v, q, P = (x[None, None] for x in (state.p, state.v, state.q,
+        p, v, q, P = (x[None, None] for x in (np.zeros(3), np.zeros(3),
+                                              np.array([1.0, 0.0, 0.0, 0.0]),
                                               default_initial_covariance()))
         start = time.perf_counter()
         worst_eig_ratio = 0.0
@@ -238,9 +235,7 @@ class TestAcceptance:
         _, _, fitted = calibration
         lab = simulate(normal_profile(NM, seed=2026), 60.0)
         rec = lab.to_recording("minute-walk-2026", "normal")
-        report = run_pipeline(
-            rec, "shoe", fitted, NM, window_samples=WINDOW, recording_id=rec.id
-        )
+        report = run_pipeline(rec, "shoe", fitted, NM, window_samples=WINDOW)
         traveled = lab.path_length_m
         ratio = report.loop_closure_error_m / traveled
         _verdict(

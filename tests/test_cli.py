@@ -751,6 +751,21 @@ class TestCalibrate:
         with pytest.raises(ConfigError, match="epsilon"):
             cmd_calibrate(walk_rec, merge_config({"epsilon": 0.6}))
 
+    @pytest.mark.parametrize("prior", ["uninformative", "informative"])
+    def test_irregular_period_exits_2_as_for_run(self, walk_rec, tmp_path, capsys, prior):
+        """A stream that run rejects for its sampling period is rejected by
+        calibrate too, under either prior, with the same message."""
+        rec = dataclasses.replace(walk_rec, t=walk_rec.t.copy())
+        rec.t[1500:] += 0.05
+        csv, labels = tmp_path / "gap.csv", tmp_path / "gap.labels.csv"
+        write_recording_csv(str(csv), rec)
+        write_labels_csv(str(labels), rec.t, rec.stationary)
+        message = "sampling period deviates 1250.0% from median 0.004 s at sample 1500"
+        assert main(["run", str(csv)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["calibrate", str(csv), "--labels", str(labels), "--prior", prior]) == 2
+        assert message in capsys.readouterr().err
+
     def test_calibration_output_merges_into_config(self, walk_rec):
         params = cmd_calibrate(walk_rec, default_config())
         cfg = merge_config(parse_config_text(format_calibration(params)))

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import zvnav
-from zvnav.core import NoiseModel, Recording, stream_to_arrays, validate_stream
+from zvnav.core import NoiseModel, Recording, validate_stream
 from zvnav.detectors import shoe_log_lr, shoe_log_lr_trace
 from zvnav.errors import StreamFormatError
 from zvnav.ins import run_pipeline
@@ -78,13 +83,14 @@ class TestSlidingWindows:
         assert np.isnan(shoe_log_lr_trace(accel, gyro, 5, noise)).all()
         for n in (0, 1):  # and the filter needs two samples
             with pytest.raises(StreamFormatError):
-                run_pipeline(_stream(n), "shoe", ThresholdParams(-10.0), noise)
+                run_pipeline(Recording("r0", *_stream(n)), "shoe", ThresholdParams(-10.0),
+                             noise)
 
     def test_nonmonotone_raises(self, noise):
         t, accel, gyro = _stream(6)
         t[[3, 4]] = t[[4, 3]]
         with pytest.raises(StreamFormatError) as err:
-            run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-10.0), noise)
+            run_pipeline(Recording("r0", t, accel, gyro), "shoe", ThresholdParams(-10.0), noise)
         assert err.value.index == 4
 
     def test_bad_window_length(self, noise):
@@ -94,16 +100,20 @@ class TestSlidingWindows:
 
 
 class TestValidateStream:
+    """The stream checks: Recording checks values and time order,
+    validate_stream the sampling period; each names the first bad sample."""
+
     def test_uniform_stream_ok(self):
-        validate_stream(_stream(100, fs=250.0))
+        validate_stream(Recording("r0", *_stream(100, fs=250.0)))
 
     def test_nan_component_flagged(self):
         t = np.arange(10) / 250.0
         accel = np.tile([0.0, 0.0, 9.81], (10, 1))
         gyro = np.zeros((10, 3))
         accel[4, 1] = np.nan
-        with pytest.raises(StreamFormatError, match="^non-finite value at sample 4$") as err:
-            validate_stream((t, accel, gyro))
+        with pytest.raises(StreamFormatError,
+                           match="^recording r0: non-finite value at sample 4$") as err:
+            Recording("r0", t, accel, gyro)
         assert err.value.index == 4
 
     def test_duplicate_timestamp_flagged(self):
@@ -111,8 +121,9 @@ class TestValidateStream:
         t[6] = t[5]
         accel = np.tile([0.0, 0.0, 9.81], (10, 1))
         gyro = np.zeros((10, 3))
-        with pytest.raises(StreamFormatError, match="^non-increasing time at sample 6$") as err:
-            validate_stream((t, accel, gyro))
+        with pytest.raises(StreamFormatError,
+                           match="^recording r0: non-increasing time at sample 6$") as err:
+            Recording("r0", t, accel, gyro)
         assert err.value.index == 6
 
     def test_rate_gap_flagged(self):
@@ -121,20 +132,26 @@ class TestValidateStream:
         accel = np.tile([0.0, 0.0, 9.81], (20, 1))
         gyro = np.zeros((20, 3))
         with pytest.raises(StreamFormatError, match="from median 0.004 s at sample 10$") as err:
-            validate_stream((t, accel, gyro))
+            validate_stream(Recording("r0", t, accel, gyro))
         assert err.value.index == 10
 
     def test_empty_stream(self):
-        with pytest.raises(StreamFormatError, match="^empty stream$") as err:
-            validate_stream(_stream(0))
+        with pytest.raises(StreamFormatError, match="^recording r0: empty stream$") as err:
+            Recording("r0", *_stream(0))
         assert err.value.index is None
 
 
-def test_stream_array_round_trip():
-    # an array triple, a Recording of it and nested lists give the same arrays
-    stream = _stream(17)
-    for form in (stream, Recording("r0", *stream), tuple(x.tolist() for x in stream)):
-        assert all(np.array_equal(a, b) for a, b in zip(stream_to_arrays(form), stream))
+def test_readme_quickstart_runs():
+    # the README's "Library quickstart" block runs as written, so a change
+    # to the public names or signatures it uses fails here
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quickstart\n\n```python\n(.*?)```", text, re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    closure, updates = out.getvalue().split()
+    assert float(closure) == pytest.approx(0.0340, abs=5e-5)
+    assert int(updates) == 2047
 
 
 def test_package_exports_resolve():
@@ -161,3 +178,13 @@ class TestRecording:
         t[5] = t[4]
         with pytest.raises(ValueError):
             Recording("r0", t, accel, gyro)
+
+    @pytest.mark.parametrize("field, row", [("t", 3), ("accel", 7), ("gyro", 2)])
+    def test_nonfinite_value_names_its_sample(self, field, row):
+        stream = dict(zip(("t", "accel", "gyro"), _stream(10)))
+        stream[field][row] = np.inf
+        stream["gyro"][8, 1] = np.nan  # a later bad sample is not the one named
+        with pytest.raises(StreamFormatError,
+                           match=f"^recording r0: non-finite value at sample {row}$") as err:
+            Recording("r0", **stream)
+        assert err.value.index == row

@@ -188,8 +188,7 @@ class TestRegistry:
             get_detector("magnitude")
 
     def test_bare_callable_rejected(self):
-        # a detector is a registered name or a DetectorSpec with both forms
-        spec = get_detector("shoe")
-        assert get_detector(spec) is spec
-        with pytest.raises(TypeError):
-            get_detector(shoe_log_lr)
+        # a detector is a registered name: a callable or a spec is not one
+        for detector in (shoe_log_lr, get_detector("shoe")):
+            with pytest.raises(ValueError, match="unknown detector"):
+                get_detector(detector)

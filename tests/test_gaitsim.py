@@ -23,7 +23,6 @@ from zvnav.gaitsim import (
 )
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.ins import (
-    NavState,
     ProcessNoise,
     _process_rate,
     _propagate,
@@ -147,8 +146,8 @@ class TestWalkingTrajectory:
 class TestRoundTrip:
     def test_noiseless_round_trip_recovers_truth(self):
         rec = simulate(normal_profile(seed=7), duration=10.0, noise_scale=0.0)
-        state = NavState.identity()
-        p, v, q, P = (x[None, None] for x in (state.p, state.v, state.q,
+        p, v, q, P = (x[None, None] for x in (np.zeros(3), np.zeros(3),
+                                              np.array([1.0, 0.0, 0.0, 0.0]),
                                               default_initial_covariance()))
         q_rate = _process_rate(ProcessNoise.from_sample_noise(NM, 250.0))[None, None]
         g_vec = np.array([0.0, 0.0, -NM.gravity_mag])

@@ -17,7 +17,6 @@ from zvnav.gaitsim import PHASE_SWING, fast_profile, normal_profile, simulate
 from zvnav.ins import (
     _BLOCK,
     _QMUL,
-    NavState,
     ProcessNoise,
     _coast,
     _coast_inputs,
@@ -29,6 +28,7 @@ from zvnav.ins import (
     _step_inputs,
     _xi,
     _xi_stack,
+    _xi_terms,
     _zupt,
     align_from_standstill,
     default_initial_covariance,
@@ -61,9 +61,13 @@ def q_rate(pn):
     return _process_rate(pn)[None, None]
 
 
-def one_lane(state, P):
-    """A state and covariance as the one-lane stacks (1, 1, ...) the kernels take."""
-    return tuple(np.asarray(x, dtype=float)[None, None] for x in (state.p, state.v, state.q, P))
+Q_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def one_lane(P, v=(0.0, 0.0, 0.0), q=Q_IDENTITY):
+    """The state at p = 0 with velocity v and attitude q, and the covariance
+    P, as the one-lane stacks (1, 1, ...) the kernels take."""
+    return tuple(np.asarray(x, dtype=float)[None, None] for x in (np.zeros(3), v, q, P))
 
 
 def stationary_arrays(n, fs=250.0, accel_noise=0.0, gyro_noise=0.0, seed=0):
@@ -75,19 +79,6 @@ def stationary_arrays(n, fs=250.0, accel_noise=0.0, gyro_noise=0.0, seed=0):
 
 
 class TestStateTypes:
-    def test_navstate_normalizes_quaternion(self):
-        q = np.array([1.0 + 3e-7, 0.0, 0.0, 0.0])
-        s = NavState(np.zeros(3), np.zeros(3), q)
-        assert np.linalg.norm(s.q) == pytest.approx(1.0, abs=1e-15)
-
-    def test_navstate_rejects_bad_norm(self):
-        with pytest.raises(ValueError):
-            NavState(np.zeros(3), np.zeros(3), np.array([1.1, 0, 0, 0]))
-
-    def test_navstate_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            NavState(np.array([np.nan, 0, 0]), np.zeros(3), [1, 0, 0, 0])
-
     def test_process_noise_from_sample_noise(self, nm):
         pn = ProcessNoise.from_sample_noise(nm, 250.0)
         assert pn.accel_psd == pytest.approx(0.2 / math.sqrt(250.0), rel=1e-12)
@@ -100,7 +91,7 @@ class TestStateTypes:
 
 class TestPropagate:
     def test_equilibrium(self, q_rate):
-        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p, v, q, P = one_lane(default_initial_covariance())
         step = next(_step_inputs(np.array([[[0.0, 0.0, GRAV]]]),
                                  quat_from_rotvec(np.zeros((1, 1, 3))), np.array([[1.0 / 250.0]]),
                                  q_rate))
@@ -111,7 +102,7 @@ class TestPropagate:
         assert np.trace(P2[0, 0]) > np.trace(P[0, 0])
 
     def test_quarter_turn_heading(self, q_rate):
-        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p, v, q, P = one_lane(default_initial_covariance())
         dq = quat_from_rotvec(np.array([[[0.0, 0.0, math.pi / 2]]]))
         step = next(_step_inputs(np.array([[[0.0, 0.0, GRAV]]]), dq, np.array([[1.0]]), q_rate))
         _, _, q2, _ = _propagate(p, v, q, P, step, G_VEC)
@@ -120,7 +111,7 @@ class TestPropagate:
         assert np.linalg.norm(q2[0, 0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_residual_integrates_to_expected_speed(self, q_rate):
-        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p, v, q, P = one_lane(default_initial_covariance())
         accel = np.array([[[0.1, 0.0, GRAV]]])
         dq = quat_from_rotvec(np.zeros((1, 1, 3)))
         for _ in range(250):
@@ -131,7 +122,7 @@ class TestPropagate:
 
 class TestZuptUpdate:
     def test_zero_velocity_is_fixed_point(self, nm):
-        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p, v, q, P = one_lane(default_initial_covariance())
         p2, v2, _, P2 = _zupt(p, v, q, P, nm.sigma_zupt**2)
         np.testing.assert_allclose(v2, 0.0, atol=1e-18)
         np.testing.assert_allclose(p2, p, atol=1e-18)
@@ -140,26 +131,24 @@ class TestZuptUpdate:
         assert after < before
 
     def test_large_prior_pulls_velocity_to_zero(self, nm):
-        state = NavState(np.zeros(3), [1.0, 0.0, 0.0], [1, 0, 0, 0])
         P = np.eye(9) * 1e-6
         P[3:6, 3:6] = np.eye(3) * 100.0
-        _, v2, _, _ = _zupt(*one_lane(state, P), nm.sigma_zupt**2)
+        _, v2, _, _ = _zupt(*one_lane(P, v=[1.0, 0.0, 0.0]), nm.sigma_zupt**2)
         assert np.linalg.norm(v2[0, 0]) < nm.sigma_zupt
 
     def test_kalman_gain_limit_scalar_oracle(self, nm):
         # with prior variance sigma0^2 on one axis, the posterior velocity is
         # v * r / (sigma0^2 + r), the scalar Kalman result
         sigma0_sq, r = 0.04, nm.sigma_zupt**2
-        state = NavState(np.zeros(3), [0.3, 0.0, 0.0], [1, 0, 0, 0])
         P = np.eye(9) * 1e-8
         P[3, 3] = sigma0_sq
-        _, v2, _, _ = _zupt(*one_lane(state, P), r)
+        _, v2, _, _ = _zupt(*one_lane(P, v=[0.3, 0.0, 0.0]), r)
         expected = 0.3 * r / (sigma0_sq + r)
         assert v2[0, 0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_velocity_trace_never_grows(self, nm, q_rate):
         rng = np.random.default_rng(31)
-        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p, v, q, P = one_lane(default_initial_covariance())
         dt = 1 / 250.0
         for _ in range(200):
             accel = [0, 0, GRAV] + 0.3 * rng.standard_normal(3)
@@ -213,8 +202,7 @@ class TestZuptUpdate:
         _zupt called on its own, on one lane and on a gathered stack."""
         P = default_initial_covariance()
         P[3:6, 3:6] = -nm.sigma_zupt**2 * np.eye(3)
-        stacks = [one_lane(NavState.identity(), P),
-                  tuple(np.repeat(x[0], 2, axis=0) for x in one_lane(NavState.identity(), P))]
+        stacks = [one_lane(P), tuple(np.repeat(x[0], 2, axis=0) for x in one_lane(P))]
         for stack in stacks:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -225,7 +213,7 @@ class TestZuptUpdate:
 class TestCovarianceHealthFuzz:
     def test_randomized_cycles_stay_symmetric_psd(self, nm, q_rate):
         rng = np.random.default_rng(32)
-        p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+        p, v, q, P = one_lane(default_initial_covariance())
         dt = 1.0 / 250.0
         for _ in range(2000):
             accel = [0, 0, GRAV] + rng.standard_normal(3) * 2.0
@@ -277,11 +265,8 @@ class TestXi:
 
 class TestAlign:
     def test_level_platform(self):
-        t, accel, gyro = stationary_arrays(250)
-        state = align_from_standstill((t, accel, gyro))
-        np.testing.assert_allclose(
-            rotmat_from_quat(state.q), np.eye(3), atol=1e-12
-        )
+        q = align_from_standstill(Recording("still", *stationary_arrays(250)))
+        np.testing.assert_allclose(rotmat_from_quat(q), np.eye(3), atol=1e-12)
 
     def test_tilted_platform_recovers_vertical(self):
         tilt = quat_from_rotvec(np.array([0.15, -0.1, 0.0]))
@@ -290,8 +275,8 @@ class TestAlign:
         t = np.arange(250) / 250.0
         accel = np.tile(a_body, (250, 1))
         gyro = np.zeros((250, 3))
-        state = align_from_standstill((t, accel, gyro))
-        up = rotmat_from_quat(state.q) @ (a_body / np.linalg.norm(a_body))
+        q = align_from_standstill(Recording("tilted", t, accel, gyro))
+        up = rotmat_from_quat(q) @ (a_body / np.linalg.norm(a_body))
         np.testing.assert_allclose(up, [0, 0, 1], atol=1e-9)
 
     def test_uses_only_leading_window(self):
@@ -299,16 +284,31 @@ class TestAlign:
         accel = np.tile([0.0, 0.0, GRAV], (500, 1))
         accel[251:] = [5.0, 5.0, 5.0]  # junk after the first second
         gyro = np.zeros((500, 3))
-        state = align_from_standstill((t, accel, gyro))
-        np.testing.assert_allclose(rotmat_from_quat(state.q), np.eye(3), atol=1e-12)
+        q = align_from_standstill(Recording("still", t, accel, gyro))
+        np.testing.assert_allclose(rotmat_from_quat(q), np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("tilt, accel_noise", [((0.0, 0.0, 0.0), 0.0),
+                                                   ((0.4, -0.7, 0.0), 0.0),
+                                                   ((0.15, -0.1, 0.0), 0.3)],
+                             ids=["level", "tilted", "noisy"])
+    def test_returns_unit_quaternion(self, tilt, accel_noise):
+        # the attitude the lanes start from is a (4,) quaternion of unit norm
+        # to rounding, with no second normalization after the alignment
+        t, _, gyro = stationary_arrays(250)
+        a_body = rotmat_from_quat(quat_from_rotvec(np.array(tilt))).T @ [0.0, 0.0, GRAV]
+        rng = np.random.default_rng(17)
+        accel = a_body + accel_noise * rng.standard_normal((250, 3))
+        q = align_from_standstill(Recording("still", t, accel, gyro))
+        assert q.shape == (4,)
+        assert abs(math.sqrt(q @ q) - 1.0) <= 2 * np.finfo(float).eps
 
 
 class TestRunPipeline:
     def test_stationary_stream_stays_put(self, nm):
-        t, accel, gyro = stationary_arrays(750, accel_noise=0.05, gyro_noise=0.005, seed=1)
-        report = run_pipeline(
-            (t, accel, gyro), "shoe", ThresholdParams(-1e6), nm, recording_id="static"
-        )
+        rec = Recording("static", *stationary_arrays(750, accel_noise=0.05, gyro_noise=0.005,
+                                                     seed=1))
+        report = run_pipeline(rec, "shoe", ThresholdParams(-1e6), nm)
+        assert report.recording_id == "static"
         assert report.loop_closure_error_m < 0.05
         assert report.decisions[4:].mean() > 0.99
         assert report.trajectory.shape == (750, 3)
@@ -318,9 +318,9 @@ class TestRunPipeline:
         assert not report.decisions[:4].any()
 
     def test_fixed_reduction_bit_identical(self, nm):
-        t, accel, gyro = stationary_arrays(600, accel_noise=0.3, gyro_noise=0.05, seed=2)
+        rec = Recording("r", *stationary_arrays(600, accel_noise=0.3, gyro_noise=0.05, seed=2))
         c1 = -30.0
-        report = run_pipeline((t, accel, gyro), "shoe", ThresholdParams(c1), nm)
+        report = run_pipeline(rec, "shoe", ThresholdParams(c1), nm)
         with np.errstate(invalid="ignore"):
             direct = report.logl_trace > c1
         assert np.array_equal(report.decisions, direct)
@@ -333,15 +333,15 @@ class TestRunPipeline:
         accel = np.tile([0.0, 0.0, GRAV], (500, 1))
         gyro = np.tile([3.0, 0.0, 0.0], (500, 1))
         params = ThresholdParams(-50.0, -100.0, 0.0)
-        report = run_pipeline((t, accel, gyro), "shoe", params, nm)
+        report = run_pipeline(Recording("spin", t, accel, gyro), "shoe", params, nm)
         lg = report.log_gamma_trace[4:]
         assert (np.diff(lg) < 0).all()
         assert report.zupt_count == 0
 
     def test_deterministic(self, nm):
-        t, accel, gyro = stationary_arrays(400, accel_noise=0.2, gyro_noise=0.02, seed=3)
-        a = run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-40.0, -5.0, 0.1), nm)
-        b = run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-40.0, -5.0, 0.1), nm)
+        rec = Recording("r", *stationary_arrays(400, accel_noise=0.2, gyro_noise=0.02, seed=3))
+        a = run_pipeline(rec, "shoe", ThresholdParams(-40.0, -5.0, 0.1), nm)
+        b = run_pipeline(rec, "shoe", ThresholdParams(-40.0, -5.0, 0.1), nm)
         assert np.array_equal(a.trajectory, b.trajectory)
         assert np.array_equal(a.decisions, b.decisions)
         assert np.array_equal(a.logl_trace, b.logl_trace, equal_nan=True)
@@ -349,33 +349,30 @@ class TestRunPipeline:
         assert a.loop_closure_error_m == b.loop_closure_error_m
 
     def test_explicit_init_state(self, nm, pn):
-        # the loop starts each recording's lanes from its state0
+        # the loop starts each recording's lanes at rest from its own q0: on
+        # one level stream with no update (c1 > 0 >= logl) and no rotation,
+        # the level lane stays at the origin, the tilted lane falls, and each
+        # keeps its attitude
         t, accel, gyro = stationary_arrays(300)
-        state0 = NavState(np.array([5.0, 5.0, 0.0]), np.zeros(3), [1, 0, 0, 0])
-        out = _filter_lanes([t], [accel], [gyro], [state0], default_initial_covariance(), nm,
-                            [pn], 4, lanes=[ThresholdParams(-10.0)],
-                            logl=[shoe_log_lr_trace(accel, gyro, 5, nm)])
-        np.testing.assert_allclose(out.trajectory[0, 0], [5.0, 5.0, 0.0], atol=1e-12)
+        q0 = [Q_IDENTITY, quat_from_rotvec(np.array([0.1, 0.0, 0.0]))]
+        logl = shoe_log_lr_trace(accel, gyro, 5, nm)
+        out = _filter_lanes([t, t], [accel, accel], [gyro, gyro], q0,
+                            default_initial_covariance(), nm, [pn, pn], 4,
+                            lanes=[ThresholdParams(1.0)], logl=[logl, logl])
+        assert not out.decisions.any()
+        assert (out.trajectory[0] == 0.0).all()
+        assert (out.trajectory[:, 0] == 0.0).all()
+        assert np.linalg.norm(out.trajectory[-1, 1]) > 0.5
+        np.testing.assert_allclose(out.q, q0, rtol=0.0, atol=1e-15)
 
     def test_too_short_stream_rejected(self, nm):
-        t, accel, gyro = stationary_arrays(1)
         with pytest.raises(StreamFormatError):
-            run_pipeline((t, accel, gyro), "shoe", ThresholdParams(-10.0), nm)
-
-    def test_accepts_recording_or_array_triple(self, nm):
-        t, accel, gyro = stationary_arrays(300)
-        rec = Recording("still", t, accel, gyro)
-        (as_rec,), (as_triple,) = run_recordings([rec, (t, accel, gyro)], "shoe",
-                                                 [ThresholdParams(-10.0)], nm)
-        assert as_rec.trajectory.shape == (300, 3)
-        assert np.array_equal(as_rec.trajectory, as_triple.trajectory)
-        assert np.array_equal(as_rec.decisions, as_triple.decisions)
+            run_pipeline(Recording("r", *stationary_arrays(1)), "shoe", ThresholdParams(-10.0),
+                         nm)
 
     def test_params_used_records_configuration(self, nm):
-        t, accel, gyro = stationary_arrays(300)
-        report = run_pipeline(
-            (t, accel, gyro), "are", ThresholdParams(-7.0, -2.0, 0.5), nm
-        )
+        report = run_pipeline(Recording("r", *stationary_arrays(300)), "are",
+                              ThresholdParams(-7.0, -2.0, 0.5), nm)
         pu = report.params_used
         assert pu["detector"] == "are"
         assert pu["window_samples"] == 5
@@ -399,10 +396,10 @@ class TestLaneKernel:
         lanes = [ThresholdParams(c1) for c1 in grid] + [CALIBRATED]
         singles = {}
         for rec in recs:
-            (batched,) = run_recordings([rec], "shoe", lanes, noise, recording_ids=[rec.id])
+            (batched,) = run_recordings([rec], "shoe", lanes, noise)
             assert len(batched) == len(lanes)
             for lane, report in zip(lanes, batched):
-                single = run_pipeline(rec, "shoe", lane, noise, recording_id=rec.id)
+                single = run_pipeline(rec, "shoe", lane, noise)
                 assert report.zupt_count > 0
                 assert np.array_equal(report.decisions, single.decisions)
                 # stacks of different height may round the 9x9 products
@@ -435,8 +432,7 @@ class TestLaneKernel:
         recs = [fast, short, normal]
         grid = [-20.0, -600.0]
         lanes = [ThresholdParams(c1) for c1 in grid] + [CALIBRATED]
-        batched = run_recordings(recs, "shoe", lanes, noise,
-                                 recording_ids=[rec.id for rec in recs])
+        batched = run_recordings(recs, "shoe", lanes, noise)
         assert [len(row) for row in batched] == [len(lanes)] * len(recs)
         digest = hashlib.sha256()
         for report in (report for row in batched for report in row):
@@ -447,7 +443,7 @@ class TestLaneKernel:
         closures = {}
         for rec, row in zip(recs, batched):
             for lane, report in zip(lanes, row):
-                single = run_pipeline(rec, "shoe", lane, noise, recording_id=rec.id)
+                single = run_pipeline(rec, "shoe", lane, noise)
                 assert report.recording_id == rec.id
                 assert report.trajectory.shape == (len(rec.t), 3)
                 assert report.zupt_count > 0
@@ -543,10 +539,10 @@ class TestLaneKernel:
         P[3:6, 3:6] = -nm.sigma_zupt**2 * np.eye(3)
         logl = shoe_log_lr_trace(accel, gyro, 1, nm)
         with pytest.raises(NumericalError, match="not invertible"):
-            _filter_lanes([t], [accel], [gyro], [NavState.identity()], P, nm, [pn], 0,
+            _filter_lanes([t], [accel], [gyro], [Q_IDENTITY], P, nm, [pn], 0,
                           lanes=[ThresholdParams(-1e9)], logl=[logl])
         with pytest.raises(NumericalError, match="not invertible"):
-            _filter_lanes([t], [accel], [gyro], [NavState.identity()], P, nm, [pn], 0,
+            _filter_lanes([t], [accel], [gyro], [Q_IDENTITY], P, nm, [pn], 0,
                           lanes=[ThresholdParams(1.0), ThresholdParams(-1e9)], logl=[logl])
         # and on a lane of the second recording of a multi-recording call: the
         # first (longer, spinning: logl = -11250) never crosses c1 = -1e3, the
@@ -555,30 +551,42 @@ class TestLaneKernel:
         spin_gyro = np.tile([3.0, 0.0, 0.0], (60, 1))
         spin_logl = shoe_log_lr_trace(spin_accel, spin_gyro, 1, nm)
         lanes = [ThresholdParams(1.0), ThresholdParams(-1e3)]
-        spun = _filter_lanes([spin_t], [spin_accel], [spin_gyro], [NavState.identity()], P, nm,
+        spun = _filter_lanes([spin_t], [spin_accel], [spin_gyro], [Q_IDENTITY], P, nm,
                              [pn], 0, lanes=lanes, logl=[spin_logl])
         assert not spun.decisions.any()
         with pytest.raises(NumericalError, match="not invertible"):
             _filter_lanes([spin_t, t], [spin_accel, accel], [spin_gyro, gyro],
-                          [NavState.identity()] * 2, P, nm, [pn, pn], 0, lanes=lanes,
+                          [Q_IDENTITY] * 2, P, nm, [pn, pn], 0, lanes=lanes,
                           logl=[spin_logl, logl])
 
-    def test_ill_conditioned_xi_drops_speed_term_in_loop(self, nm, pn):
-        # velocity covariance with condition 1e16 > XI_COND_BOUND: the c3 term
-        # falls back to zero, so the threshold is exactly c1 + c2 * dt
+    def test_ill_conditioned_xi_drops_speed_term_in_loop(self, nm, pn, q_rate):
+        # from rest, a horizontal specific force drives a velocity, so xi
+        # would be positive; but the velocity covariance has a condition
+        # above XI_COND_BOUND, so the c3 term falls back to zero and the
+        # threshold is exactly c1 + c2 * dt
         t, accel, gyro = stationary_arrays(20)
+        accel[:, 0] = 0.5
         P = default_initial_covariance()
         P[3:6, 3:6] = np.diag([1e8, 1e-8, 1e-8])
-        state0 = NavState(np.zeros(3), [0.1, 0.0, 0.0], [1, 0, 0, 0])
         params = ThresholdParams(1.0, -2.0, 1e6)
-        out = _filter_lanes([t], [accel], [gyro], [state0], P, nm, [pn], 4, lanes=[params],
-                            logl=[shoe_log_lr_trace(accel, gyro, 5, nm)])
+        out = _filter_lanes([t], [accel], [gyro], [Q_IDENTITY], P, nm, [pn], 4,
+                            lanes=[params], logl=[shoe_log_lr_trace(accel, gyro, 5, nm)])
         assert not out.decisions.any()
         k = 4  # first full window
         assert out.log_gamma[k, 0] == params.c1 + params.c2 * (t[k] - t[0])
+        # the same k + 1 steps by hand: xi is positive, and only its condition drops it
+        dt, dq = _increments(t[:k + 1], gyro[:k + 1])
+        f = np.vstack([np.zeros(3), accel[:k]])
+        p, v, q, Pk = one_lane(P)
+        for step in _step_inputs(f[:, None], dq[:, None], dt[:, None], q_rate):
+            p, v, q, Pk = _propagate(p, v, q, Pk, step, G_VEC)
+        assert v[0, 0, 0] > 0.0
+        value, ok = _xi_terms(Pk[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist(), max)
+        assert value > 0.0 and not ok
+        assert math.isnan(_xi(Pk[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist()))
 
 
-def lanes_reference(recs, states, noise, pn, lanes, first_window, logls):
+def lanes_reference(recs, q0, noise, pn, lanes, first_window, logls):
     """_filter_lanes sample by sample, with one _step_inputs call per step:
     the no-op steps past a recording's end, xi on the c3 != 0 lanes of
     recordings still running, the one threshold rule and the gather of the
@@ -589,7 +597,8 @@ def lanes_reference(recs, states, noise, pn, lanes, first_window, logls):
     g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
     coef = SimpleNamespace(**{name: np.array([[getattr(lane, name) for lane in lanes]])
                               for name in ("c1", "c2", "c3")})
-    p, v, q = (np.array([[getattr(s, x)] * C for s in states]) for x in "pvq")
+    p, v = np.zeros((R, C, 3)), np.zeros((R, C, 3))
+    q = np.array([[q] * C for q in q0])
     P = np.tile(default_initial_covariance(), (R, C, 1, 1))
     xi = np.full((R, C), np.nan)
     t_last = np.array([[rec.t[0]] * C for rec in recs])
@@ -648,12 +657,12 @@ class TestStepBlocks:
             recs.append(Recording("b", fast.t[:m], fast.accel[:m], fast.gyro[:m]))
         lanes = [CALIBRATED, ThresholdParams(-20.0), ThresholdParams(-79.0, -1000.0, 0.002)]
         pn = ProcessNoise.from_sample_noise(noise, 250.0)
-        states = [align_from_standstill(rec) for rec in recs]
+        q0 = [align_from_standstill(rec) for rec in recs]
         logls = [shoe_log_lr_trace(rec.accel, rec.gyro, 5, noise) for rec in recs]
         out = _filter_lanes([rec.t for rec in recs], [rec.accel for rec in recs],
-                            [rec.gyro for rec in recs], states, default_initial_covariance(),
+                            [rec.gyro for rec in recs], q0, default_initial_covariance(),
                             noise, [pn] * len(recs), 4, lanes=lanes, logl=logls)
-        expected = lanes_reference(recs, states, noise, pn, lanes, 4, logls)
+        expected = lanes_reference(recs, q0, noise, pn, lanes, 4, logls)
         assert out.decisions.any() and not out.decisions.all()
         for got, want in zip(out, expected):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -666,7 +675,7 @@ def label_pass_reference(rec, noise, pn, zupts, xi_mask):
     (P_vv, v) before its update."""
     q_rate = _process_rate(pn)[None, None]
     g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    p, v, q, P = one_lane(NavState.identity(), default_initial_covariance())
+    p, v, q, P = one_lane(default_initial_covariance())
     xis, blocks = [], []
     for k in range(1, len(rec.t)):
         dt = rec.t[k] - rec.t[k - 1]
@@ -723,9 +732,9 @@ class TestCoast:
 
     def test_coast_matches_propagate_over_30s_without_updates(self, walk777):
         noise, rec = walk777
-        state = align_from_standstill(rec)
+        q0 = align_from_standstill(rec)
         self.assert_coast_matches(noise, rec, _coast_inputs(rec.t, rec.accel, rec.gyro),
-                                  0, len(rec.t) - 1, state.p, state.v, state.q,
+                                  0, len(rec.t) - 1, np.zeros(3), np.zeros(3), q0,
                                   default_initial_covariance())
 
     def test_coast_matches_propagate_on_every_swing_coast(self, walk777):
@@ -739,8 +748,7 @@ class TestCoast:
         g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
         q_rate = _process_rate(pn)[None, None]
         zupts = rec.stationary
-        state0, P0 = NavState.identity(), default_initial_covariance()
-        p, v, q, P = (x[None, None] for x in (state0.p, state0.v, state0.q, P0))
+        p, v, q, P = one_lane(default_initial_covariance())
         coasts = 0
         k = 1
         while k < len(rec.t):
@@ -778,7 +786,7 @@ class TestCoast:
         pn = ProcessNoise.from_sample_noise(noise, 250.0)
         trimmed = Recording("short", rec.t[:n], rec.accel[:n], rec.gyro[:n])
         expected, _ = label_pass_reference(trimmed, noise, pn, zupts, xi_mask)
-        got = _label_pass(rec.t[:n], rec.accel[:n], rec.gyro[:n], NavState.identity(),
+        got = _label_pass(rec.t[:n], rec.accel[:n], rec.gyro[:n], Q_IDENTITY,
                           default_initial_covariance(), noise, pn, zupts, xi_mask)
         assert len(got) == len(expected) > 100
         np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
@@ -795,7 +803,7 @@ class TestCoast:
             return real(*args)
 
         monkeypatch.setattr("zvnav.ins._propagate", spy)
-        xis = _label_pass(rec.t, rec.accel, rec.gyro, NavState.identity(),
+        xis = _label_pass(rec.t, rec.accel, rec.gyro, Q_IDENTITY,
                           default_initial_covariance(), noise,
                           ProcessNoise.from_sample_noise(noise, 250.0), rec.stationary,
                           rec.phase == PHASE_SWING)

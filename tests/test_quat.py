@@ -12,7 +12,6 @@ from zvnav.quat import (
     quat_mul,
     quat_normalize,
     rotmat_from_quat,
-    rotvec_from_quat,
     skew,
 )
 
@@ -54,22 +53,15 @@ def test_rotmat_is_special_orthogonal():
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rotvec_round_trip():
-    rng = np.random.default_rng(23)
-    for _ in range(200):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(1e-12, math.pi - 1e-6)
-        phi = axis * angle
-        back = rotvec_from_quat(quat_from_rotvec(phi))
-        np.testing.assert_allclose(back, phi, rtol=1e-9, atol=1e-12)
-
-
-def test_rotvec_small_angle_series():
+def test_small_angle_is_exactly_half_the_rotation_vector():
+    # at |phi| ~ 1e-10, sin(x/2)/x rounds to its series value 1/2 and
+    # cos(x/2) to 1: the result is exactly (1, phi/2), of unit norm
     phi = np.array([1e-10, -2e-10, 0.5e-10])
-    q = quat_from_rotvec(phi)
-    assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
-    np.testing.assert_allclose(rotvec_from_quat(q), phi, rtol=1e-6, atol=1e-20)
+    for vec in (phi, np.stack([phi, -phi])):
+        q = quat_from_rotvec(vec)
+        expected = np.concatenate((np.ones(vec.shape[:-1] + (1,)), vec / 2), axis=-1)
+        assert np.array_equal(q, expected)
+        assert (np.linalg.norm(q, axis=-1) == 1.0).all()
 
 
 def test_mul_identity_and_inverse():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from zvnav.core import Recording
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError
 from zvnav.ins import (
-    NavState,
     ProcessNoise,
     _filter_lanes,
     default_initial_covariance,
@@ -210,7 +210,7 @@ class TestDecide:
         level = logl[k]
         lanes = [ThresholdParams(level), ThresholdParams(np.nextafter(level, -np.inf)),
                  ThresholdParams(np.nextafter(level, np.inf))]
-        (reports,) = run_recordings([triple], "shoe", lanes, noise)
+        (reports,) = run_recordings([Recording("r", *triple)], "shoe", lanes, noise)
         # a tie does not fire; one ulp below the statistic does
         assert [r.decisions[k] for r in reports] == [False, True, False]
         for lane, report in zip(lanes, reports):
@@ -223,7 +223,7 @@ class TestDecide:
         # statistic mid-stream are the only samples that do not fire
         logl = logl.copy()
         logl[20] = np.nan
-        out = _filter_lanes([t], [accel], [gyro], [NavState.identity()],
+        out = _filter_lanes([t], [accel], [gyro], [np.array([1.0, 0.0, 0.0, 0.0])],
                             default_initial_covariance(), noise,
                             [ProcessNoise.from_sample_noise(noise, 250.0)], 0,
                             lanes=[ThresholdParams(-1e300)], logl=[logl])
