@@ -16,7 +16,6 @@ from .gaitsim import (
     simulate,
 )
 from .ins import (
-    ProcessNoise,
     RunReport,
     align_from_standstill,
     run_pipeline,
@@ -46,7 +45,6 @@ __all__ = [
     "hypothesis_prior",
     "log_threshold",
     "calibrate",
-    "ProcessNoise",
     "RunReport",
     "align_from_standstill",
     "run_pipeline",

@@ -1,4 +1,4 @@
-"""Command-line harness: run, sweep, calibrate, simulate, concat.
+"""Command-line harness: run, sweep, calibrate, simulate.
 
 A thin shell over the library. Every subcommand reads the same flat
 key=value configuration (defaults, then ``--config`` file, then flag
@@ -46,16 +46,19 @@ from .gaitsim import (
     normal_profile,
     simulate,
 )
-from .ins import ProcessNoise, RunReport, run_pipeline, run_recordings
+from .ins import RunReport, run_pipeline, run_recordings
 from .threshold import ThresholdParams, calibrate
 
 STANDARD_GRAVITY = 9.80665  # m/s^2, for g-unit file conversion only
 
 REPORT_FORMAT = "zvnav-report-v1"
 
-# Largest log-spaced sweep grid. Every grid point is one filter lane per
-# recording, holding a trajectory and traces as long as the recording.
+# Largest sweep grid. Every grid point is one filter lane per recording,
+# holding a trajectory and traces as long as the recording.
 MAX_GRID_POINTS = 1000
+
+# The default sweep grid: acceptance criterion 7's 20 log-spaced values, -8 to -6000.
+DEFAULT_GRID = tuple(float(c1) for c1 in -np.geomspace(8.0, 6000.0, 20))
 
 _COLUMNS = ("t", "ax", "ay", "az", "gx", "gy", "gz")
 
@@ -398,19 +401,9 @@ def noise_from_config(cfg: dict[str, Any]) -> NoiseModel:
             sigma_w=cfg["sigma_w"],
             gravity_mag=cfg["gravity_mag"],
             sigma_zupt=cfg["sigma_zupt"],
+            accel_psd=cfg["accel_psd"],
+            gyro_psd=cfg["gyro_psd"],
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def process_noise_from_config(cfg: dict[str, Any]) -> ProcessNoise | None:
-    a, g = cfg["accel_psd"], cfg["gyro_psd"]
-    if a is None and g is None:
-        return None  # derived from the sample noise and the stream rate
-    if a is None or g is None:
-        raise ConfigError("accel_psd and gyro_psd must be set together")
-    try:
-        return ProcessNoise(accel_psd=a, gyro_psd=g)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -443,7 +436,6 @@ def cmd_run(rec: Recording, cfg: dict[str, Any]) -> RunReport:
         cfg["detector"],
         threshold_from_config(cfg),
         noise_from_config(cfg),
-        process_noise_from_config(cfg),
         window_samples=_check_window(cfg),
     )
 
@@ -471,7 +463,6 @@ def cmd_sweep(
     if not grid:
         raise ConfigError("sweep needs a non-empty c1 grid")
     noise = noise_from_config(cfg)
-    pn = process_noise_from_config(cfg)
     window = _check_window(cfg)
     adaptive = ThresholdParams(cfg["c1"], cfg["c2"], cfg["c3"])
     configs: list[tuple[str, float, ThresholdParams]] = [
@@ -492,8 +483,7 @@ def cmd_sweep(
 
     # one lane per (recording, config), all stepped together in one loop
     lanes = [params for _, _, params in configs]
-    runs = run_recordings(recordings, cfg["detector"], lanes, noise, pn,
-                          window_samples=window)
+    runs = run_recordings(recordings, cfg["detector"], lanes, noise, window_samples=window)
     errors = [[report.loop_closure_error_m for report in reports] for reports in runs]
 
     tags = sorted({recordings[i].gait_tag for i in included} - {None})
@@ -526,7 +516,8 @@ def format_sweep_table(rows: Sequence[dict[str, Any]]) -> str:
 
 
 def concat_recordings(recordings: Sequence[Recording]) -> Recording:
-    """Join recordings end to end on one monotone time base.
+    """Join recordings end to end on one monotone time base; ``zvnav run``
+    runs its files joined so, and one recording comes back unchanged.
 
     Each later recording is shifted so the join gap equals its own first
     sample period; filter state then flows across the seam when the result
@@ -595,7 +586,7 @@ def cmd_calibrate(rec: Recording, cfg: dict[str, Any]) -> ThresholdParams:
     noise = noise_from_config(cfg)
     n = _check_window(cfg)
     validate_stream(rec)
-    sets = extract_calibration_sets(rec, n, noise=noise, pn=process_noise_from_config(cfg),
+    sets = extract_calibration_sets(rec, n, noise=noise,
                                     reference_xi=cfg["prior"] == "informative")
     det = get_detector(cfg["detector"])
     if det.name == "shoe":  # SHOE needs each window's own gravity direction
@@ -683,8 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="process one recording")
-    p_run.add_argument("recording", help="IMU CSV file")
+    p_run = sub.add_parser("run", help="process recordings, joined end to end")
+    p_run.add_argument("recordings", nargs="+", help="IMU CSV files")
     p_run.add_argument("--report", metavar="FILE",
                        help="write the report here instead of stdout")
     p_run.add_argument("--trace", metavar="FILE",
@@ -694,14 +685,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="fixed-threshold grid vs adaptive")
     p_sweep.add_argument("recordings", nargs="+", help="IMU CSV files")
     p_sweep.add_argument("--grid", metavar="C1[,C1...]",
-                         help="explicit comma-separated c1 grid")
-    p_sweep.add_argument("--grid-lo", type=float, default=-8.0,
-                         help="first grid value (default -8)")
-    p_sweep.add_argument("--grid-hi", type=float, default=-6000.0,
-                         help="last grid value (default -6000)")
-    p_sweep.add_argument("--grid-points", type=int, default=20,
-                         help="log-spaced grid size (default 20, at most "
-                              f"{MAX_GRID_POINTS})")
+                         help=f"comma-separated c1 grid, at most {MAX_GRID_POINTS} values "
+                              "(default 20 log-spaced values from -8 to -6000)")
     p_sweep.add_argument("--out", metavar="FILE",
                          help="write the table here instead of stdout")
     _add_config_flags(p_sweep)
@@ -723,14 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, metavar="PREFIX",
                        help="writes PREFIX.csv, PREFIX.labels.csv, PREFIX.meta")
     _add_config_flags(p_sim)
-
-    p_cat = sub.add_parser("concat", help="join recordings, run them as one")
-    p_cat.add_argument("recordings", nargs="+", help="IMU CSV files")
-    p_cat.add_argument("--report", metavar="FILE",
-                       help="write the report here instead of stdout")
-    p_cat.add_argument("--trace", metavar="FILE",
-                       help="write the per-sample statistic/threshold table")
-    _add_config_flags(p_cat)
     return parser
 
 
@@ -775,26 +752,17 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _sweep_grid(args) -> list[float]:
-    if args.grid:
-        try:
-            return [float(x) for x in args.grid.split(",") if x.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --grid value: {exc}") from exc
-    lo, hi, n = args.grid_lo, args.grid_hi, args.grid_points
-    if not 1 <= n <= MAX_GRID_POINTS:
-        raise ConfigError(f"--grid-points must lie in [1, {MAX_GRID_POINTS}], got {n}")
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid endpoints must be finite, got {lo} and {hi}")
-    if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
-        raise ConfigError(
-            f"log-spaced grid endpoints must be nonzero and share a sign, "
-            f"got {lo} and {hi}"
-        )
-    sign = -1.0 if lo < 0 else 1.0
-    if n == 1:
-        return [lo]
-    return list(sign * np.geomspace(abs(lo), abs(hi), n))
+def _sweep_grid(text: str | None) -> list[float]:
+    """The c1 grid of a ``--grid`` value, DEFAULT_GRID when it is absent."""
+    if text is None:
+        return list(DEFAULT_GRID)
+    try:
+        grid = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad --grid value: {exc}") from exc
+    if len(grid) > MAX_GRID_POINTS:
+        raise ConfigError(f"--grid has at most {MAX_GRID_POINTS} values, got {len(grid)}")
+    return grid
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -806,7 +774,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
 
         if args.command == "run":
-            rec = _load_recording(args.recording, explicit)
+            rec = concat_recordings([_load_recording(p, explicit) for p in args.recordings])
             report = cmd_run(rec, cfg)
             _emit(format_report(report), args.report)
             if args.trace:
@@ -816,7 +784,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _load_recording(p, explicit, want_meta=True)
                 for p in args.recordings
             ]
-            rows = cmd_sweep(recs, cfg, _sweep_grid(args))
+            rows = cmd_sweep(recs, cfg, _sweep_grid(args.grid))
             _emit(format_sweep_table(rows), args.out)
         elif args.command == "calibrate":
             rec = _load_recording(args.recording, explicit, args.labels)
@@ -833,14 +801,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 else ""
             )
             sys.stdout.write(f"wrote {args.out}.csv: {len(rec)} samples{length}\n")
-        elif args.command == "concat":
-            merged = concat_recordings(
-                [_load_recording(p, explicit) for p in args.recordings]
-            )
-            report = cmd_run(merged, cfg)
-            _emit(format_report(report), args.report)
-            if args.trace:
-                _emit(format_trace(report, merged.t), args.trace)
     except InputFormatError as exc:
         print(f"zvnav: input error: {exc}", file=sys.stderr)
         return 2

@@ -31,17 +31,27 @@ class NoiseModel:
         Local gravity magnitude, m/s^2.
     sigma_zupt : float
         Zero-velocity pseudo-measurement noise standard deviation, m/s.
+    accel_psd, gyro_psd : float or None
+        Continuous-time white-noise densities driving the filter's error
+        state, m/s^2 and rad/s per sqrt(Hz). Set both or neither; None
+        derives them from sigma_a and sigma_w at the stream's median sample
+        rate (:func:`zvnav.ins.process_noise`).
     """
 
     sigma_a: float
     sigma_w: float
     gravity_mag: float = GRAVITY_DEFAULT
     sigma_zupt: float = 0.01
+    accel_psd: float | None = None
+    gyro_psd: float | None = None
 
     def __post_init__(self):
-        for name in ("sigma_a", "sigma_w", "gravity_mag", "sigma_zupt"):
+        if (self.accel_psd is None) != (self.gyro_psd is None):
+            raise ValueError("accel_psd and gyro_psd must be set together")
+        for name in ("sigma_a", "sigma_w", "gravity_mag", "sigma_zupt", "accel_psd", "gyro_psd"):
             value = getattr(self, name)
-            if not (math.isfinite(value * value) and value > 0.0):  # the filter squares it
+            # the filter squares it
+            if value is not None and not (math.isfinite(value * value) and value > 0.0):
                 raise ValueError(f"{name} must be positive with a finite square, got {value}")
 
 
@@ -54,8 +64,8 @@ def validate_stream(rec: Recording) -> None:
     :class:`Recording` leaves to the commands that need a sample rate.
 
     Each sample period is compared against the median period; a relative
-    deviation beyond ``PERIOD_REL_TOL`` raises StreamFormatError whose
-    ``index`` is the first offending sample.
+    deviation beyond ``PERIOD_REL_TOL`` raises StreamFormatError, naming
+    the recording, whose ``index`` is the first offending sample.
     """
     if len(rec.t) < 2:
         return
@@ -66,8 +76,8 @@ def validate_stream(rec: Recording) -> None:
     if max_dev > PERIOD_REL_TOL:
         i = int(np.argmax(rel_dev > PERIOD_REL_TOL)) + 1
         raise StreamFormatError(
-            f"sampling period deviates {max_dev:.1%} from median {median:.6g} s "
-            f"at sample {i}",
+            f"recording {rec.id}: sampling period deviates {max_dev:.1%} from median "
+            f"{median:.6g} s at sample {i}",
             index=i,
         )
 
@@ -127,7 +137,3 @@ class Recording:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])

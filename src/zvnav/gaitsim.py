@@ -32,8 +32,7 @@ import numpy as np
 
 from .core import NoiseModel, Recording
 from .errors import CalibrationDataError, ConfigError
-from .ins import ProcessNoise, _label_pass, default_initial_covariance
-from .ins import derived_process_noise
+from .ins import _label_pass, default_initial_covariance, process_noise
 from .quat import quat_conj, quat_mul, rotmat_from_quat
 
 PHASE_STANDSTILL = 0
@@ -411,20 +410,22 @@ def _phase_array(rec) -> np.ndarray:
     return phase
 
 
-def _reference_xi_median(rec, noise: NoiseModel, pn: ProcessNoise, swing_mask) -> float:
+def _reference_xi_median(rec, noise: NoiseModel, swing_mask) -> float:
     """Median speed evidence over swing from a label-driven filter pass.
 
     Ground-truth labels stand in for the detector, so the estimate does
     not depend on any threshold choice. The pass starts at rest with the
-    identity attitude and takes its first decision at sample 1.
+    identity attitude and takes its first decision at sample 1. Its process
+    noise is :func:`zvnav.ins.process_noise` over the whole recording.
     """
     swing_mask = np.asarray(swing_mask, dtype=bool)
     if not swing_mask.any():
         raise CalibrationDataError("no usable swing samples for the speed evidence")
+    psd = process_noise(noise, np.asarray(rec.t, dtype=float))
     # the pass is causal, so samples after the last swing sample cannot change xi
     end = int(np.flatnonzero(swing_mask)[-1]) + 1
     xis = _label_pass(rec.t[:end], rec.accel[:end], rec.gyro[:end],
-                      np.array([1.0, 0.0, 0.0, 0.0]), default_initial_covariance(), noise, pn,
+                      np.array([1.0, 0.0, 0.0, 0.0]), default_initial_covariance(), noise, psd,
                       np.asarray(rec.stationary)[:end], swing_mask[:end])
     if not xis.size:
         raise CalibrationDataError("no usable swing samples for the speed evidence")
@@ -436,7 +437,6 @@ def extract_calibration_sets(
     n_window: int,
     *,
     noise: NoiseModel,
-    pn: ProcessNoise | None = None,
     reference_xi: bool = True,
 ) -> CalibrationSets:
     """Split a labeled recording into the three calibration window sets.
@@ -446,8 +446,10 @@ def extract_calibration_sets(
     per step); windows fully inside swing feed the swing set. Each set is
     an array of window start indices; any empty set raises. ``rec`` needs
     t/accel/gyro arrays and stationary labels; explicit phase codes are
-    used when available. xi_star, from a label-driven filter pass, is None
-    unless ``reference_xi`` is set (the informative prior needs it).
+    used when available. xi_star, from a label-driven filter pass under
+    ``noise`` (its process noise densities, or ones derived at the
+    recording's median rate), is None unless ``reference_xi`` is set (the
+    informative prior needs it).
     """
     if n_window < 1:
         raise ValueError(f"window length must be >= 1, got {n_window}")
@@ -480,9 +482,7 @@ def extract_calibration_sets(
             raise CalibrationDataError(f"{name} calibration set is empty")
     if not reference_xi:
         return CalibrationSets(stationary, midstance, swing, None)
-    if pn is None:
-        pn = derived_process_noise(noise, np.asarray(rec.t, dtype=float))
-    xi_star = _reference_xi_median(rec, noise, pn, swing_mask)
+    xi_star = _reference_xi_median(rec, noise, swing_mask)
     return CalibrationSets(stationary, midstance, swing, xi_star)
 
 

@@ -59,40 +59,24 @@ ALIGN_SPAN_S = 1.0
 XI_COND_BOUND = 1e12
 
 
-@dataclass(frozen=True)
-class ProcessNoise:
-    """Continuous-time white-noise densities driving the error state."""
-
-    accel_psd: float  # m/s^2 per sqrt(Hz)
-    gyro_psd: float  # rad/s per sqrt(Hz)
-
-    def __post_init__(self):
-        for name, value in (("accel_psd", self.accel_psd), ("gyro_psd", self.gyro_psd)):
-            if not (value > 0.0 and math.isfinite(value * value)):  # _process_rate squares it
-                raise ValueError(f"{name} must be positive with a finite square, got {value}")
-
-    @classmethod
-    def from_sample_noise(cls, noise: NoiseModel, sample_rate: float) -> "ProcessNoise":
-        """Interpret per-sample sigmas as white noise at the given rate."""
-        if not sample_rate > 0.0:
-            raise ValueError(f"sample_rate must be positive, got {sample_rate}")
-        root = math.sqrt(sample_rate)
-        return cls(accel_psd=noise.sigma_a / root, gyro_psd=noise.sigma_w / root)
-
-
-def derived_process_noise(noise: NoiseModel, t: np.ndarray) -> ProcessNoise:
-    """:meth:`ProcessNoise.from_sample_noise` at the median sample rate of
-    ``t``. A sigma whose density at that rate has no finite positive square
-    is a configuration error naming the sigma and the rate."""
+def process_noise(noise: NoiseModel, t: np.ndarray) -> tuple[float, float]:
+    """The white-noise densities (accel_psd, gyro_psd) driving the error
+    state: the model's own when it sets them, else sigma_a and sigma_w over
+    the square root of the median sample rate of ``t``. A sigma whose density
+    at that rate has no finite positive square is a configuration error
+    naming the sigma and the rate."""
+    if noise.accel_psd is not None:
+        return noise.accel_psd, noise.gyro_psd
     rate = 1.0 / float(np.median(np.diff(t)))
+    root = math.sqrt(rate)
     for name, sigma in (("sigma_a", noise.sigma_a), ("sigma_w", noise.sigma_w)):
-        density = sigma / math.sqrt(rate)
+        density = sigma / root
         if not (density > 0.0 and math.isfinite(density * density)):
             raise ConfigError(
                 f"{name}={sigma!r} at the median sample rate {rate:.6g} Hz gives a "
                 f"process noise density {density!r} without a finite positive square"
             )
-    return ProcessNoise.from_sample_noise(noise, rate)
+    return noise.sigma_a / root, noise.sigma_w / root
 
 
 def default_initial_covariance() -> np.ndarray:
@@ -142,9 +126,11 @@ def _unit(q):
     return q / np.sqrt(np.vecdot(q, q)[..., None])
 
 
-def _process_rate(pn: ProcessNoise) -> np.ndarray:
-    """Covariance growth per second of [dp, dv, dpsi] (diagonal)."""
-    return np.diag(np.repeat([0.0, pn.accel_psd**2, pn.gyro_psd**2], 3))
+def _process_rate(psd: tuple[float, float]) -> np.ndarray:
+    """Covariance growth per second of [dp, dv, dpsi] (diagonal) from the
+    densities (accel_psd, gyro_psd)."""
+    accel_psd, gyro_psd = psd
+    return np.diag(np.repeat([0.0, accel_psd**2, gyro_psd**2], 3))
 
 
 def _step_inputs(accel, dq, dt, q_rate):
@@ -305,12 +291,13 @@ class _LaneTraces(NamedTuple):
     P: np.ndarray  # (L, 9, 9) final covariance
 
 
-def _filter_lanes(t, accel, gyro, q0, cov0, noise, pn, first_window, *,
+def _filter_lanes(t, accel, gyro, q0, cov0, noise, psd, first_window, *,
                   lanes, logl) -> _LaneTraces:
     """The filter loop: C lanes on each of R recordings, stepped together.
 
-    ``t``, ``accel``, ``gyro``, ``q0``, ``pn`` and ``logl`` hold one entry
-    per recording. Lane r * C + c runs recording r under lanes[c] for n
+    ``t``, ``accel``, ``gyro``, ``q0``, ``psd`` and ``logl`` hold one entry
+    per recording, ``psd`` its densities (accel_psd, gyro_psd) from
+    :func:`process_noise`; ``noise`` gives gravity and the update noise. Lane r * C + c runs recording r under lanes[c] for n
     steps, n the longest recording, from p = v = 0, attitude q0[r] and
     covariance cov0. Step 0, and each
     step past a recording's last sample, is a no-op step (dt = 0, the
@@ -340,7 +327,7 @@ def _filter_lanes(t, accel, gyro, q0, cov0, noise, pn, first_window, *,
         accels[1:m, r] = accel[r][:-1]
         logls[:m, r, 0] = logl[r]
     g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    q_rate = np.array([_process_rate(x) for x in pn])[:, None]
+    q_rate = np.array([_process_rate(x) for x in psd])[:, None]
     r_var = noise.sigma_zupt**2
     C = len(lanes)
     # lane-stacked coefficients, each of shape (1, C)
@@ -411,9 +398,10 @@ def _coast_inputs(t, accel, gyro):
     return dt, dq, G, fb
 
 
-def _label_pass(t, accel, gyro, q0, cov0, noise, pn, zupts, xi_mask) -> np.ndarray:
+def _label_pass(t, accel, gyro, q0, cov0, noise, psd, zupts, xi_mask) -> np.ndarray:
     """One lane on one recording under supplied decisions, from p = v = 0,
-    attitude q0 and covariance cov0, with an update at each sample k >= 1
+    attitude q0 and covariance cov0, driven by the densities ``psd``
+    (accel_psd, gyro_psd), with an update at each sample k >= 1
     where zupts[k] is set, stepped from update to update: one
     _propagate and one _zupt per update sample, one _coast per run of
     samples between. Returns xi, in sample order, on the samples k >= 1 in
@@ -422,7 +410,7 @@ def _label_pass(t, accel, gyro, q0, cov0, noise, pn, zupts, xi_mask) -> np.ndarr
     a NumericalError naming the sample."""
     dt, dq, G, fb = _coast_inputs(t, accel, gyro)
     g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
-    q_rate = _process_rate(pn)
+    q_rate = _process_rate(psd)
     r_var = noise.sigma_zupt**2
     # the state as a stack of one lane on one recording, as _propagate takes it
     p, v, q, P = (x[None, None] for x in (np.zeros(3), np.zeros(3), q0, cov0))
@@ -483,8 +471,8 @@ class RunReport:
 
 
 def run_recordings(
-    recs: list[Recording], detector: str, lanes, noise: NoiseModel,
-    pn: ProcessNoise | None = None, *, window_samples: int = 5,
+    recs: list[Recording], detector: str, lanes, noise: NoiseModel, *,
+    window_samples: int = 5,
 ) -> list[list[RunReport]]:
     """Run detector + filter over each recording once per ThresholdParams in
     ``lanes``, stepping every (recording, lane) pair together in one loop.
@@ -493,27 +481,28 @@ def run_recordings(
 
     Per recording, in order, so the first bad one raises: the sampling-period
     check (validate_stream), the trace of the detector named ``detector``,
-    the process noise (when ``pn`` is None) and the initial attitude
+    the process noise densities (:func:`process_noise`: the model's own, or
+    derived at the recording's median rate) and the initial attitude
     (align_from_standstill). Every lane starts at rest with the default
     covariance. Recordings may differ in length and sample rate.
     """
     if not recs:
         return []
-    logls, q0s, pns = [], [], []
+    logls, q0s, psds = [], [], []
     for rec in recs:
         if len(rec.t) < 2:
-            raise StreamFormatError("pipeline needs at least 2 samples")
+            raise StreamFormatError(f"recording {rec.id}: pipeline needs at least 2 samples")
         validate_stream(rec)
         spec = get_detector(detector)
         logls.append(spec.trace(rec.accel, rec.gyro, window_samples, noise))
-        pns.append(derived_process_noise(noise, rec.t) if pn is None else pn)
+        psds.append(process_noise(noise, rec.t))
         q0s.append(align_from_standstill(rec))
     cov0 = default_initial_covariance()
 
     def lanes_of(rs):
         return _filter_lanes([recs[r].t for r in rs], [recs[r].accel for r in rs],
                              [recs[r].gyro for r in rs], [q0s[r] for r in rs], cov0, noise,
-                             [pns[r] for r in rs], window_samples - 1, lanes=lanes,
+                             [psds[r] for r in rs], window_samples - 1, lanes=lanes,
                              logl=[logls[r] for r in rs])
 
     try:
@@ -528,7 +517,7 @@ def run_recordings(
                 raise NumericalError(f"recording {rec.id}: {own}") from exc
         raise
     reports = []
-    for r, (rec, logl, rate) in enumerate(zip(recs, logls, pns)):
+    for r, (rec, logl, (accel_psd, gyro_psd)) in enumerate(zip(recs, logls, psds)):
         shared = {
             "detector": spec.name,
             "window_samples": window_samples,
@@ -536,8 +525,8 @@ def run_recordings(
             "sigma_w": noise.sigma_w,
             "gravity_mag": noise.gravity_mag,
             "sigma_zupt": noise.sigma_zupt,
-            "accel_psd": rate.accel_psd,
-            "gyro_psd": rate.gyro_psd,
+            "accel_psd": accel_psd,
+            "gyro_psd": gyro_psd,
             "xi_cond_bound": XI_COND_BOUND,
         }
         n = len(rec.t)
@@ -559,11 +548,10 @@ def run_recordings(
 
 
 def run_pipeline(rec: Recording, detector: str, threshold_params: ThresholdParams,
-                 noise: NoiseModel, pn: ProcessNoise | None = None, *,
-                 window_samples: int = 5) -> RunReport:
+                 noise: NoiseModel, *, window_samples: int = 5) -> RunReport:
     """Run detector + filter over one recording and report traces and drift:
     run_recordings with the one recording ``rec`` and the one lane
     ``threshold_params``."""
-    ((report,),) = run_recordings([rec], detector, [threshold_params], noise, pn,
+    ((report,),) = run_recordings([rec], detector, [threshold_params], noise,
                                   window_samples=window_samples)
     return report

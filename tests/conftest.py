@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,3 +18,10 @@ def uniform_stream(rng, n, fs=250.0, accel_scale=1.0, gyro_scale=0.1, around_g=9
     gyro = gyro_scale * rng.standard_normal((n, 3))
     return t, accel, gyro
 
+
+
+def psd_at(noise, rate=250.0):
+    """The densities (accel_psd, gyro_psd) that zvnav.ins.process_noise
+    derives from the sigmas of ``noise`` at the sample rate ``rate``."""
+    root = math.sqrt(rate)
+    return noise.sigma_a / root, noise.sigma_w / root

@@ -12,13 +12,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import psd_at
 from zvnav.cli import cmd_sweep
 from zvnav.config import merge_config
 from zvnav.core import NoiseModel
 from zvnav.detectors import are_log_lr, shoe_log_lr, shoe_log_lr_trace
 from zvnav.gaitsim import extract_calibration_sets, make_corpus, normal_profile, simulate
 from zvnav.ins import (
-    ProcessNoise,
     _process_rate,
     _propagate,
     _step_inputs,
@@ -166,7 +166,7 @@ class TestAcceptance:
         stack: covariance stays symmetric positive semidefinite, quaternion
         stays unit."""
         rng = np.random.default_rng(404)
-        q_rate = _process_rate(ProcessNoise.from_sample_noise(NM, 250.0))[None, None]
+        q_rate = _process_rate(psd_at(NM))[None, None]
         g_vec = np.array([0.0, 0.0, -NM.gravity_mag])
         p, v, q, P = (x[None, None] for x in (np.zeros(3), np.zeros(3),
                                               np.array([1.0, 0.0, 0.0, 0.0]),

@@ -1,4 +1,4 @@
-"""Command-line harness: ingest, reports, sweep, concat, calibrate, exit codes."""
+"""Command-line harness: ingest, reports, sweep, joined runs, calibrate, exit codes."""
 
 import contextlib
 import dataclasses
@@ -325,10 +325,9 @@ _ARGV_OPTION = st.one_of(
               st.sampled_from(_ARGV_FILES)),
     st.tuples(st.sampled_from(["--c1", "--c2", "--c3", "--log-gamma", "--epsilon", "--dtau",
                                "--sigma-a", "--sigma-w", "--gravity-mag", "--sigma-zupt",
-                               "--accel-psd", "--gyro-psd", "--grid-lo", "--grid-hi",
-                               "--noise-scale", "--duration"]),
+                               "--accel-psd", "--gyro-psd", "--noise-scale", "--duration"]),
               st.sampled_from(_NUMBERS)),
-    st.tuples(st.sampled_from(["--window-samples", "--grid-points", "--seed"]),
+    st.tuples(st.sampled_from(["--window-samples", "--seed"]),
               st.sampled_from(["0", "-1", "1", "5", "1000000000", "x"])),
     st.tuples(st.just("--grid"), st.sampled_from(["-20,-200", ",", "nan", "x", "-1e308"])),
     st.tuples(st.sampled_from(["--detector", "--prior", "--threshold-mode", "--gait", "--path",
@@ -338,7 +337,7 @@ _ARGV_OPTION = st.one_of(
     st.sampled_from([("--print-config",), ("--help",), ("--bogus",)]),
 )
 _ARGV = st.tuples(
-    st.sampled_from(["run", "sweep", "calibrate", "simulate", "concat", "bogus"]),
+    st.sampled_from(["run", "sweep", "calibrate", "simulate", "bogus"]),
     st.lists(st.sampled_from(_ARGV_FILES), max_size=2),
     st.lists(_ARGV_OPTION, max_size=3),
 )
@@ -487,12 +486,12 @@ class TestConfig:
         again = merge_config(parse_config_text(format_config(cfg)))
         assert again == cfg
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "simulate", "concat"])
+    @pytest.mark.parametrize("command", ["run", "sweep", "calibrate", "simulate"])
     def test_schema_keys_are_flags(self, command):
         """Each SCHEMA key is the flag --key-with-dashes, parsed to dest key
         with the key's type or choices; nothing else sets a config key."""
         operands = {"run": ["x.csv"], "sweep": ["x.csv"], "calibrate": ["x.csv", "--labels",
-                    "y.csv"], "simulate": ["--out", "p"], "concat": ["x.csv"]}[command]
+                    "y.csv"], "simulate": ["--out", "p"]}[command]
         parser = build_parser()
         defaults = vars(parser.parse_args([command] + operands))
         assert all(defaults[key] is None for key in SCHEMA)
@@ -655,17 +654,31 @@ class TestSweep:
 
     def test_grid_points_above_maximum_exit_3(self, walk_files, capsys):
         csv, _ = walk_files
-        for n in (MAX_GRID_POINTS + 1, 10**9):
-            assert main(["sweep", str(csv), "--grid-points", str(n)]) == 3
-            assert f"--grid-points must lie in [1, {MAX_GRID_POINTS}]" in capsys.readouterr().err
+        grid = ",".join(["-20"] * (MAX_GRID_POINTS + 1))
+        assert main(["sweep", str(csv), f"--grid={grid}"]) == 3
+        assert f"--grid has at most {MAX_GRID_POINTS} values" in capsys.readouterr().err
 
     def test_nonfinite_grid_endpoint_exits_3(self, walk_files, capsys):
         csv, _ = walk_files
-        for lo, hi in (("-inf", "-6000"), ("-20", "-inf"), ("nan", "6000")):
-            code = main(["sweep", str(csv), f"--grid-lo={lo}", f"--grid-hi={hi}",
-                         "--grid-points", "3"])
-            assert code == 3
-            assert "grid endpoints must be finite" in capsys.readouterr().err
+        for value in ("nan", "-inf"):
+            assert main(["sweep", str(csv), f"--grid=-20,{value}"]) == 3
+            assert f"c1 must be finite, got {float(value)}" in capsys.readouterr().err
+
+    def test_stream_errors_name_their_recording(self, walk_rec, walk_files, tmp_path, capsys):
+        csv, _ = walk_files
+        t = walk_rec.t.copy()
+        t[800:] += 0.05  # dropped packets
+        gap, one = tmp_path / "gap.csv", tmp_path / "one.csv"
+        write_recording_csv(str(gap), dataclasses.replace(walk_rec, t=t))
+        write_recording_csv(str(one), dataclasses.replace(
+            walk_rec, t=t[:1], accel=walk_rec.accel[:1], gyro=walk_rec.gyro[:1], stationary=None))
+        for bad in (gap, one):
+            write_meta(str(bad.with_suffix(".meta")), walk_rec)
+        for bad, message in ((gap, "recording gap: sampling period deviates 1250.0% from "
+                                   "median 0.004 s at sample 800"),
+                             (one, "recording one: pipeline needs at least 2 samples")):
+            assert main(["sweep", str(csv), str(bad), "--grid=-20"]) == 2
+            assert message in capsys.readouterr().err
 
     def test_recordings_sharing_an_id_keep_their_own_closures(self, walk_rec, still_rec):
         # two files of one name in different directories share an id
@@ -682,6 +695,7 @@ class TestSweep:
 class TestConcat:
     def test_concat_of_one_equals_run(self, walk_rec):
         cfg = default_config()
+        assert concat_recordings([walk_rec]) is walk_rec
         assert format_report(cmd_run(concat_recordings([walk_rec]), cfg)) == format_report(
             cmd_run(walk_rec, cfg)
         )
@@ -710,7 +724,7 @@ class TestConcat:
         fast, slow = tmp_path / "fast250.csv", tmp_path / "slow100.csv"
         write_recording_csv(str(fast), walk_rec)
         write_recording_csv(str(slow), dataclasses.replace(walk_rec, t=walk_rec.t * 2.5))
-        assert main(["concat", str(fast), str(slow)]) == 2
+        assert main(["run", str(fast), str(slow)]) == 2
         err = capsys.readouterr().err
         assert "part 1 (fast250, median period 0.004 s)" in err
         assert "part 2 (slow100, median period 0.01 s)" in err
@@ -722,7 +736,7 @@ class TestConcat:
             gyro=walk_rec.gyro[:30], stationary=None))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["concat", str(slow), str(slow)]) == 2
+            assert main(["run", str(slow), str(slow)]) == 2
         err = capsys.readouterr().err
         assert "part 2 (slow) after part 1 (slow)" in err
         assert "seam at 1.595e+308 s" in err
@@ -1039,17 +1053,10 @@ class TestMainEntry:
                                                    capsys):
         csv, _ = walk_files
         trace = tmp_path / "joined.tsv"
-        assert main(["concat", str(csv), str(csv), "--trace", str(trace)]) == 0
+        assert main(["run", str(csv), str(csv), "--trace", str(trace)]) == 0
         t = np.loadtxt(trace, delimiter="\t", skiprows=1, ndmin=2)[:, 0]
         assert len(t) == 2 * len(walk_rec)
         assert (np.diff(t) > 0).all()
-
-    def test_concat_cli_matches_run(self, walk_files, capsys):
-        csv, _ = walk_files
-        assert main(["concat", str(csv)]) == 0
-        concat_out = capsys.readouterr().out
-        assert main(["run", str(csv)]) == 0
-        assert concat_out == capsys.readouterr().out
 
     def test_straight_path_simulation_has_no_loop_length(self, tmp_path, capsys):
         prefix = str(tmp_path / "line")

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import psd_at
 from zvnav.core import NoiseModel
 from zvnav.errors import CalibrationDataError, ConfigError, NumericalError
 from zvnav.gaitsim import (
@@ -23,7 +24,6 @@ from zvnav.gaitsim import (
 )
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.ins import (
-    ProcessNoise,
     _process_rate,
     _propagate,
     _step_inputs,
@@ -149,7 +149,7 @@ class TestRoundTrip:
         p, v, q, P = (x[None, None] for x in (np.zeros(3), np.zeros(3),
                                               np.array([1.0, 0.0, 0.0, 0.0]),
                                               default_initial_covariance()))
-        q_rate = _process_rate(ProcessNoise.from_sample_noise(NM, 250.0))[None, None]
+        q_rate = _process_rate(psd_at(NM))[None, None]
         g_vec = np.array([0.0, 0.0, -NM.gravity_mag])
         worst = 0.0
         for k in range(1, len(rec)):
@@ -256,8 +256,7 @@ class TestCalibrationSets:
         median swing xi of the unbatched loop at commit 70c23b0, to rounding.
         Threshold calibration with the informative prior anchors c3 on it."""
         lab = simulate(normal_profile(NM, seed=777), duration=30.0)
-        pn = ProcessNoise.from_sample_noise(NM, 250.0)
-        xi_star = _reference_xi_median(lab, NM, pn, lab.phase == PHASE_SWING)
+        xi_star = _reference_xi_median(lab, NM, lab.phase == PHASE_SWING)
         assert xi_star == pytest.approx(413306.7185063072, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("bad", [3704, 3740])
@@ -271,11 +270,10 @@ class TestCalibrationSets:
         accel = lab.accel.copy()
         accel[bad, 0] = 1e300
         rec = dataclasses.replace(lab, accel=accel)
-        pn = ProcessNoise.from_sample_noise(NM, 250.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="filter failed at sample") as exc:
-                _reference_xi_median(rec, NM, pn, rec.phase == PHASE_SWING)
+                _reference_xi_median(rec, NM, rec.phase == PHASE_SWING)
         sample = int(str(exc.value).split("at sample ")[1].split(":")[0])
         assert abs(sample - (bad + 1)) <= 1
 

@@ -72,7 +72,7 @@ def outputs(tmp_path_factory):
     out["print-config"] = _stdout(["run", csv, "--config", fit, "--print-config",
                                    "--detector", "are", "--window-samples", "7",
                                    "--accel-psd", "0.01", "--gyro-psd", "1e-3"])
-    assert main(["concat", csv, csv, "--report", str(root / "concat.report"),
+    assert main(["run", csv, csv, "--report", str(root / "concat.report"),
                  "--trace", str(root / "concat.tsv")]) == 0
     out["concat.report"] = (root / "concat.report").read_bytes()
     out["concat.trace"] = (root / "concat.tsv").read_bytes()

@@ -1,5 +1,6 @@
 """Filter mechanics against closed-form and explicit-inverse oracles."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -8,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import psd_at
 from zvnav.cli import cmd_sweep
 from zvnav.config import merge_config
 from zvnav.core import NoiseModel, Recording
@@ -17,7 +19,6 @@ from zvnav.gaitsim import PHASE_SWING, fast_profile, normal_profile, simulate
 from zvnav.ins import (
     _BLOCK,
     _QMUL,
-    ProcessNoise,
     _coast,
     _coast_inputs,
     _filter_lanes,
@@ -32,6 +33,7 @@ from zvnav.ins import (
     _zupt,
     align_from_standstill,
     default_initial_covariance,
+    process_noise,
     run_pipeline,
     run_recordings,
 )
@@ -53,7 +55,7 @@ def nm():
 
 @pytest.fixture
 def pn(nm):
-    return ProcessNoise.from_sample_noise(nm, 250.0)
+    return psd_at(nm)
 
 
 @pytest.fixture
@@ -80,13 +82,19 @@ def stationary_arrays(n, fs=250.0, accel_noise=0.0, gyro_noise=0.0, seed=0):
 
 class TestStateTypes:
     def test_process_noise_from_sample_noise(self, nm):
-        pn = ProcessNoise.from_sample_noise(nm, 250.0)
-        assert pn.accel_psd == pytest.approx(0.2 / math.sqrt(250.0), rel=1e-12)
-        assert pn.gyro_psd == pytest.approx(0.02 / math.sqrt(250.0), rel=1e-12)
+        # derived from the sigmas at the median rate unless the model sets them
+        t = np.arange(100) / 250.0
+        accel_psd, gyro_psd = process_noise(nm, t)
+        assert accel_psd == pytest.approx(0.2 / math.sqrt(250.0), rel=1e-12)
+        assert gyro_psd == pytest.approx(0.02 / math.sqrt(250.0), rel=1e-12)
+        own = dataclasses.replace(nm, accel_psd=0.01, gyro_psd=0.001)
+        assert process_noise(own, t) == (0.01, 0.001)
 
-    def test_process_noise_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ProcessNoise(0.0, 0.01)
+    def test_process_noise_rejects_nonpositive(self, nm):
+        with pytest.raises(ValueError, match="accel_psd must be positive"):
+            dataclasses.replace(nm, accel_psd=0.0, gyro_psd=0.01)
+        with pytest.raises(ValueError, match="set together"):
+            dataclasses.replace(nm, gyro_psd=0.01)
 
 
 class TestPropagate:
@@ -469,7 +477,7 @@ class TestLaneKernel:
         noise, recs = walks
         out = run_recordings(recs, "shoe", [ThresholdParams(-20.0), CALIBRATED], noise)
         assert len(out) == 2
-        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        pn = psd_at(noise)
         lanes = _filter_lanes(
             [rec.t for rec in recs], [rec.accel for rec in recs], [rec.gyro for rec in recs],
             [align_from_standstill(rec) for rec in recs],
@@ -517,7 +525,7 @@ class TestLaneKernel:
         """30 s of walking with a threshold nothing crosses (c1 > 0 >= logl):
         every step propagates and symmetrizes, no update ever fires."""
         rec = simulate(normal_profile(nm, seed=1000), 30.0)
-        pn = ProcessNoise.from_sample_noise(nm, 250.0)
+        pn = psd_at(nm)
         out = _filter_lanes(
             [rec.t], [rec.accel], [rec.gyro], [align_from_standstill(rec)],
             default_initial_covariance(), nm, [pn], 4,
@@ -656,7 +664,7 @@ class TestStepBlocks:
             m = 2 * _BLOCK + 3 if n < 2 * _BLOCK else _BLOCK + 1
             recs.append(Recording("b", fast.t[:m], fast.accel[:m], fast.gyro[:m]))
         lanes = [CALIBRATED, ThresholdParams(-20.0), ThresholdParams(-79.0, -1000.0, 0.002)]
-        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        pn = psd_at(noise)
         q0 = [align_from_standstill(rec) for rec in recs]
         logls = [shoe_log_lr_trace(rec.accel, rec.gyro, 5, noise) for rec in recs]
         out = _filter_lanes([rec.t for rec in recs], [rec.accel for rec in recs],
@@ -705,7 +713,7 @@ class TestCoast:
     @staticmethod
     def assert_coast_matches(noise, rec, inputs, a, b, p, v, q, P):
         """_coast over samples a+1 .. b equals that many _propagate steps."""
-        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        pn = psd_at(noise)
         q_rate = _process_rate(pn)
         g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
         dt, dq, G, fb = inputs
@@ -742,7 +750,7 @@ class TestCoast:
         _zupt; each run of samples between updates is also taken by _coast
         from the same start and compared at every step and at its end."""
         noise, rec = walk777
-        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        pn = psd_at(noise)
         inputs = _coast_inputs(rec.t, rec.accel, rec.gyro)
         dt, dq = inputs[:2]
         g_vec = np.array([0.0, 0.0, -noise.gravity_mag])
@@ -783,7 +791,7 @@ class TestCoast:
         zupts[inner[len(inner) // 2]] = False  # one sample between two updates
         xi_mask = (lab.phase[:n] == PHASE_SWING) | (np.arange(n) % 7 == 0)
         assert zupts[1] and not zupts[-1] and (xi_mask & zupts).any()
-        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        pn = psd_at(noise)
         trimmed = Recording("short", rec.t[:n], rec.accel[:n], rec.gyro[:n])
         expected, _ = label_pass_reference(trimmed, noise, pn, zupts, xi_mask)
         got = _label_pass(rec.t[:n], rec.accel[:n], rec.gyro[:n], Q_IDENTITY,
@@ -805,7 +813,7 @@ class TestCoast:
         monkeypatch.setattr("zvnav.ins._propagate", spy)
         xis = _label_pass(rec.t, rec.accel, rec.gyro, Q_IDENTITY,
                           default_initial_covariance(), noise,
-                          ProcessNoise.from_sample_noise(noise, 250.0), rec.stationary,
+                          psd_at(noise), rec.stationary,
                           rec.phase == PHASE_SWING)
         assert len(xis) > 2000
         assert len(calls) == np.count_nonzero(rec.stationary[1:])
@@ -816,7 +824,7 @@ class TestCoast:
         a non-finite value), the stacked form is the scalar form."""
         noise = NoiseModel(sigma_a=0.2, sigma_w=0.02)
         rec = simulate(normal_profile(noise, seed=5), 6.0)
-        pn = ProcessNoise.from_sample_noise(noise, 250.0)
+        pn = psd_at(noise)
         _, blocks = label_pass_reference(rec, noise, pn, rec.stationary,
                                          np.zeros(len(rec.t), dtype=bool))
         S = [b[0] for b in blocks]

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import psd_at
 from zvnav.core import Recording
 from zvnav.detectors import shoe_log_lr_trace
 from zvnav.errors import CalibrationDataError, ConfigError
 from zvnav.ins import (
-    ProcessNoise,
     _filter_lanes,
     default_initial_covariance,
     run_recordings,
@@ -225,7 +225,7 @@ class TestDecide:
         logl[20] = np.nan
         out = _filter_lanes([t], [accel], [gyro], [np.array([1.0, 0.0, 0.0, 0.0])],
                             default_initial_covariance(), noise,
-                            [ProcessNoise.from_sample_noise(noise, 250.0)], 0,
+                            [psd_at(noise)], 0,
                             lanes=[ThresholdParams(-1e300)], logl=[logl])
         assert np.flatnonzero(~out.decisions[:, 0]).tolist() == [0, 1, 2, 3, 20]
 
