@@ -9,17 +9,20 @@ Navigation frame: z up, gravity g_vec = (0, 0, -gravity_mag). The
 accelerometer measures specific force in the body frame,
 a_meas = R^T (a_true - g_vec), so at rest R @ a_meas + g_vec = 0.
 
-One loop drives the filter: propagate on every sample interval, score
-the causal detector window ending at the current sample, compare against
-the adaptive threshold, and apply a zero-velocity update when the
-statistic crosses it. Every lane starts at rest (p = v = 0) from the
-attitude levelled from its recording's first second. It steps an
+One loop drives the filter: propagate on every sample interval, and
+apply a zero-velocity update where the causal detector window ending at
+the current sample scores above the adaptive threshold. Where a lane
+decides depends on what its threshold needs: a c3 = 0 lane needs only
+the statistic and t, so it decides before the loop; a c3 != 0 lane needs
+the filter's speed evidence xi, so it decides in the loop, on Python
+floats. The threshold trace is built once, after the loop, from the
+decisions applied. Every lane starts at rest (p = v = 0) from the
+attitude levelled from its recording's first second. The loop steps an
 (R recordings x C configs) grid of lanes at once for the longest
-recording's n steps; a shorter recording
-takes no-op steps past its end, as costly as real ones (a 30 s plus a 5 s
-walk: +18% over ending the 5 s lanes early). run_recordings is the
-general call (one per sweep), run_pipeline its one-recording, one-lane
-case.
+recording's n steps; a shorter recording takes no-op steps past its end,
+as costly as real ones (a 30 s plus a 5 s walk: +18% over ending the 5 s
+lanes early). run_recordings is the general call (one per sweep),
+run_pipeline its one-recording, one-lane case.
 
 A step splits into its input-only factors, built _BLOCK = 64 steps per
 numpy call (_step_inputs), and the state-dependent rest (_propagate); the
@@ -35,16 +38,20 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
-# np.linalg.inv's own LAPACK gufunc, without its wrapper: the same S^-1 bit for
-# bit. CI pins numpy 2.4.6, and the golden digests would catch a change.
-from numpy.linalg._umath_linalg import inv as _inv
+
+try:
+    # np.linalg.inv's own LAPACK gufunc, without its wrapper: the same S^-1 bit
+    # for bit. CI pins numpy 2.4.6, and the golden digests would catch a change.
+    from numpy.linalg._umath_linalg import inv as _inv
+except ImportError:  # a numpy that moved its private module: the wrapper
+    _inv = np.linalg.inv
 
 from .core import NoiseModel, Recording, validate_stream
 from .detectors import get_detector
 from .errors import ConfigError, NumericalError, StreamFormatError
 from .quat import quat_between, quat_conj, quat_from_rotvec, quat_mul, quat_normalize
 from .quat import rotmat_from_quat, skew
-from .threshold import ThresholdParams, log_threshold
+from .threshold import ThresholdParams, log_threshold, log_threshold_lane
 
 _E_Z = np.array([0.0, 0.0, 1.0])
 
@@ -176,7 +183,7 @@ def _zupt(p, v, q, P, r_var):
     try:
         with np.errstate(all="ignore", invalid="raise"):
             S_inv = _inv(S)
-    except FloatingPointError as exc:
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:  # the gufunc, the wrapper
         raise NumericalError(
             f"innovation covariance not invertible: {S.tolist()}"
         ) from exc
@@ -297,20 +304,28 @@ def _filter_lanes(t, accel, gyro, q0, cov0, noise, psd, first_window, *,
 
     ``t``, ``accel``, ``gyro``, ``q0``, ``psd`` and ``logl`` hold one entry
     per recording, ``psd`` its densities (accel_psd, gyro_psd) from
-    :func:`process_noise`; ``noise`` gives gravity and the update noise. Lane r * C + c runs recording r under lanes[c] for n
-    steps, n the longest recording, from p = v = 0, attitude q0[r] and
-    covariance cov0. Step 0, and each
-    step past a recording's last sample, is a no-op step (dt = 0, the
-    identity gyro increment, the last time held, a NaN statistic): it
-    leaves p, v and a symmetric P as they were and never fires. From sample
-    first_window on, a lane applies a zero-velocity update where logl[k]
-    exceeds log_threshold(lanes[c], t_k - t_last, xi), t_last being its
-    last update (t_0 before the first). xi comes from the covariance before
-    the update it gates, only where c3 != 0; NaN (the uninformative
-    fallback) drops the c3 term.
+    :func:`process_noise`; ``noise`` gives gravity and the update noise.
+    Lane r * C + c runs recording r under lanes[c] for n steps, n the
+    longest recording, from p = v = 0, attitude q0[r] and covariance cov0.
+    Step 0, and each step past a recording's last sample, is a no-op step
+    (dt = 0, the identity gyro increment, the last time held, a NaN
+    statistic): it leaves p, v and a symmetric P as they were and never
+    fires. From sample first_window on, a lane applies a zero-velocity
+    update where logl[k] exceeds log_threshold(lanes[c], t_k - t_last, xi),
+    t_last being its last update (t_0 before the first). xi comes from the
+    covariance before the update it gates, only where c3 != 0; NaN (the
+    uninformative fallback) drops the c3 term.
 
-    A floating-point error in the loop (overflow, say, on a finite but huge
-    input) raises NumericalError naming the sample k at which it occurred.
+    A c3 = 0 lane needs no filter state: it decides before the loop, from
+    the statistic and t (_decide). A c3 != 0 lane decides in the loop, on
+    the Python floats of its xi (log_threshold_lane). The loop applies
+    those decisions; the threshold trace is built once, after it, from the
+    decisions applied and the xi of each step (a no-op step keeps its
+    recording's last xi), and its logl > log_gamma must equal them.
+
+    A floating-point error (overflow, say, on a finite but huge input)
+    raises NumericalError naming the first sample k at which the loop, or
+    the threshold at k, hits it.
     """
     R = len(t)
     n = max(map(len, t))
@@ -330,49 +345,124 @@ def _filter_lanes(t, accel, gyro, q0, cov0, noise, psd, first_window, *,
     q_rate = np.array([_process_rate(x) for x in psd])[:, None]
     r_var = noise.sigma_zupt**2
     C = len(lanes)
-    # lane-stacked coefficients, each of shape (1, C)
-    c1, c2, c3 = np.array([(lane.c1, lane.c2, lane.c3) for lane in lanes]).T[:, None]
-    coef = SimpleNamespace(c1=c1, c2=c2, c3=c3)
-    xi_lanes = [c for c, lane in enumerate(lanes) if lane.c3 != 0.0]
-    xi = np.full((R, C), np.nan) if xi_lanes else None  # NaN: no speed evidence
+
+    fires = np.zeros((n, R, C), dtype=bool)  # the updates each lane applies
+    xi_lanes = []  # (r, c, lane, t, logl) of each c3 != 0 lane, t and logl as floats
+    for r in range(R):
+        floats = None  # shared by the recording's c3 != 0 lanes
+        for c, lane in enumerate(lanes):
+            if lane.c3 == 0.0:
+                fires[:len(t[r]), r, c] = _decide(lane, t[r], logl[r], first_window)
+            else:
+                floats = floats or (t[r].tolist(), logl[r].tolist())
+                xi_lanes.append((r, c, lane, *floats))
+    fired_before = np.count_nonzero(fires, axis=(1, 2)).tolist()
+    xis = np.full((n, len(xi_lanes)), np.nan)  # xi of each c3 != 0 lane at each step
+    xi_row = [math.nan] * len(xi_lanes)  # the last, kept through no-op steps
+    t_last = [t_r[0] for _, _, _, t_r, _ in xi_lanes]
 
     p, v = np.zeros((R, C, 3)), np.zeros((R, C, 3))
     q = np.repeat(np.array(q0)[:, None], C, 1)
     P = np.tile(cov0, (R, C, 1, 1))
     trajectory = np.empty((n, R, C, 3))
     log_gamma = np.full((n, R, C), np.nan)
-    t_last = np.repeat(ts[0], C, 1)
     k = 0  # building the first block of step inputs can fail before step 0
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         try:
             for k, step in enumerate(_step_inputs(accels, dqs, dts, q_rate)):
                 p, v, q, P = _propagate(p, v, q, P, step, g_vec)
                 if k >= first_window:
-                    for r in range(R):
-                        if k < len(t[r]):  # a no-op step computes no new xi
-                            for c in xi_lanes:
-                                xi[r, c] = _xi(P[r, c, 3:6, 3:6].tolist(), v[r, c].tolist())
-                    lg = log_threshold(coef, ts[k] - t_last, xi)
-                    log_gamma[k] = lg
-                    fire = logls[k] > lg  # NaN never passes
-                    fired = np.count_nonzero(fire)
+                    fire = fires[k]
+                    fired = fired_before[k]
+                    if xi_lanes:
+                        S, vel = P[..., 3:6, 3:6].tolist(), v.tolist()
+                        for j, (r, c, lane, t_r, logl_r) in enumerate(xi_lanes):
+                            if k < len(t_r):  # a no-op step computes no new xi
+                                xi = xi_row[j] = _xi(S[r][c], vel[r][c])
+                                if logl_r[k] > log_threshold_lane(lane, t_r[k] - t_last[j], xi):
+                                    fire[r, c] = True
+                                    t_last[j] = t_r[k]
+                                    fired += 1
+                        xis[k] = xi_row
                     if fired:
                         if fired == fire.size:  # no gather when every lane fires
                             p, v, q, P = _zupt(p, v, q, P, r_var)
                         else:
                             p[fire], v[fire], q[fire], P[fire] = _zupt(
                                 p[fire], v[fire], q[fire], P[fire], r_var)
-                        np.copyto(t_last, ts[k], where=fire)
                 trajectory[k] = p
         except (FloatingPointError, NumericalError) as exc:
+            # a threshold that failed at an earlier sample is the first error
+            _threshold_trace(log_gamma, lanes, ts, fires, xis, xi_lanes, first_window, k)
             raise NumericalError(f"filter failed at sample {k}: {exc}") from exc
+        _threshold_trace(log_gamma, lanes, ts, fires, xis, xi_lanes, first_window, n)
     if not (np.isfinite(p).all() and np.isfinite(P).all()):
         raise NumericalError("filter state became non-finite")
+    decisions = logls > log_gamma
+    if not np.array_equal(decisions, fires):
+        k = int(np.argmax((decisions != fires).any(axis=(1, 2))))
+        raise NumericalError(f"threshold trace disagrees with the update applied at sample {k}")
     for r in range(R):
         trajectory[len(t[r]):, r] = np.nan
     L = R * C
-    return _LaneTraces(trajectory.reshape(n, L, 3), (logls > log_gamma).reshape(n, L),
+    return _LaneTraces(trajectory.reshape(n, L, 3), decisions.reshape(n, L),
                        log_gamma.reshape(n, L), q.reshape(L, 4), P.reshape(L, 9, 9))
+
+
+def _decide(lane, t, logl, first_window) -> np.ndarray:
+    """The updates of a c3 = 0 lane on one recording, from the sample times
+    ``t`` and the statistic ``logl`` alone: one comparison when c2 = 0, else
+    a scan on floats that moves t_last to each update."""
+    fire = np.zeros(len(t), dtype=bool)
+    if lane.c2 == 0.0:  # c1 + 0 * dt is c1 for every dt
+        fire[first_window:] = logl[first_window:] > log_threshold_lane(lane, 0.0, None)
+        return fire
+    t = t.tolist()
+    t_last = t[0]
+    for k, x in enumerate(logl[first_window:].tolist(), first_window):
+        if x > log_threshold_lane(lane, t[k] - t_last, None):
+            fire[k] = True
+            t_last = t[k]
+    return fire
+
+
+_TRACE_BLOCK = 256  # steps per log_threshold call of _threshold_trace; bounds its temporaries
+
+
+def _threshold_trace(log_gamma, lanes, ts, fires, xis, xi_lanes, first_window, end):
+    """Fill log_gamma (n, R, C) at steps first_window .. end - 1 from the
+    updates ``fires`` the loop applied (t_last: the time of the last one
+    before each step, t_0 before the first) and the xi of each c3 != 0 lane
+    (``xis``, one column per ``xi_lanes`` entry), _TRACE_BLOCK steps per
+    log_threshold call. A floating-point error raises NumericalError at the
+    first sample whose threshold hits it."""
+    R, C = fires.shape[1:]
+    coef = SimpleNamespace(**{name: np.array([[getattr(lane, name) for lane in lanes]])
+                              for name in ("c1", "c2", "c3")})
+    xr = [r for r, *_ in xi_lanes]
+    xc = [c for _, c, *_ in xi_lanes]
+    rows = np.arange(R)[:, None]
+    last = np.zeros((R, C), dtype=np.intp)  # the last update before the block, or step 0
+    for k0 in range(first_window, end, _TRACE_BLOCK):
+        k1 = min(k0 + _TRACE_BLOCK, end)
+        steps = np.arange(k0, k1)[:, None, None]
+        before = np.maximum.accumulate(np.concatenate(
+            [last[None], np.where(fires[k0:k1], steps, 0)]), axis=0)
+        last = before[-1]
+        dt = ts[k0:k1] - ts[before[:-1], rows, 0]
+        xi = None
+        if xi_lanes:
+            xi = np.full((k1 - k0, R, C), np.nan)
+            xi[:, xr, xc] = xis[k0:k1]
+        try:
+            log_gamma[k0:k1] = log_threshold(coef, dt, xi)
+        except FloatingPointError:
+            for i in range(k1 - k0):  # the first step whose threshold fails
+                try:
+                    log_threshold(coef, dt[i], None if xi is None else xi[i])
+                except FloatingPointError as exc:
+                    raise NumericalError(f"filter failed at sample {k0 + i}: {exc}") from exc
+            raise
 
 
 def _increments(t, gyro):

@@ -125,6 +125,15 @@ def params_from_bayes(loss: LossParams, prior: PriorParams) -> ThresholdParams:
     )
 
 
+def _log_gamma(params, dt, xi, select):
+    """The formula, on floats or on arrays: c1 + c2 * dt, plus c3 * xi where
+    xi is given and not NaN. ``select(cond, a, b)`` is a where cond, else b."""
+    value = params.c1 + params.c2 * dt
+    if xi is None:
+        return value
+    return select(xi != xi, value, value + params.c3 * xi)  # xi != xi exactly when NaN
+
+
 def log_threshold(params, dt, xi):
     """Direct route, elementwise: ``params.c1``/``c2``/``c3``, ``dt`` and
     ``xi`` may be scalars or broadcastable arrays (one entry per lane).
@@ -136,10 +145,16 @@ def log_threshold(params, dt, xi):
     """
     if not np.minimum.reduce(dt, axis=None) >= 0.0:  # np.min without its wrapper; NaN fails
         raise ValueError(f"dt must be >= 0, got {dt}")
-    value = params.c1 + params.c2 * dt
-    if xi is None:
-        return value
-    return np.where(np.isnan(xi), value, value + params.c3 * xi)[()]
+    return _log_gamma(params, dt, xi, lambda cond, a, b: np.where(cond, a, b)[()])
+
+
+def log_threshold_lane(params, dt: float, xi: float | None) -> float:
+    """log_threshold of one lane on Python floats, at float speed: the same
+    expression, so the same value bit for bit, and a NaN (or None) xi drops
+    the c3 term. A negative or NaN dt is rejected."""
+    if not dt >= 0.0:
+        raise ValueError(f"dt must be >= 0, got {dt}")
+    return _log_gamma(params, dt, xi, lambda cond, a, b: a if cond else b)
 
 
 def interp_quantile(values, q: float) -> float:

@@ -347,7 +347,9 @@ _ARGV = st.tuples(
 @settings(max_examples=60, deadline=None)
 def test_main_exit_code_is_documented(argv_files, argv):
     """Whatever the argv, main() returns 0, 2, 3 or 4 (an argparse exit
-    counts as its code) and never raises."""
+    counts as its code) and never raises. The only warnings it emits are
+    the documented UserWarnings: a sweep recording without a loop length,
+    and a config with c2 > 0."""
     command, operands, options = argv
     args = [command] + [str(argv_files / name) for name in operands]
     for option in options:
@@ -358,12 +360,18 @@ def test_main_exit_code_is_documented(argv_files, argv):
     if command == "simulate" and "--out" not in args:
         args += ["--out", str(argv_files / "sim")]
     sink = io.StringIO()
-    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(args)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3, 4), (args, sink.getvalue()[-500:])
+    for w in caught:
+        assert w.category is UserWarning, (args, w)
+        assert ("declares no loop_length_m" in str(w.message)
+                or str(w.message).startswith("c2 > 0")), (args, w)
 
 
 def _schema_value(kind):
@@ -950,7 +958,12 @@ class TestMainEntry:
         inputs = [str(csv)]
         if command == "calibrate":
             inputs += ["--labels", str(labels), "--prior", "informative"]
-        assert main([command, *inputs, "--" + key.replace("_", "-"), "1e154"]) == 3
+        argv = [command, *inputs, "--" + key.replace("_", "-"), "1e154"]
+        if command == "sweep":  # slow.csv has no metadata, so no loop length
+            with pytest.warns(UserWarning, match="slow declares no loop_length_m"):
+                assert main(argv) == 3
+        else:
+            assert main(argv) == 3
         err = capsys.readouterr().err
         assert f"config error: {key}=1e+154 at the median sample rate 0.5 Hz" in err
 

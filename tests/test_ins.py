@@ -3,12 +3,18 @@
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import zvnav
 from conftest import psd_at
 from zvnav.cli import cmd_sweep
 from zvnav.config import merge_config
@@ -216,6 +222,49 @@ class TestZuptUpdate:
                 warnings.simplefilter("error")
                 with pytest.raises(NumericalError, match="not invertible"):
                     _zupt(*stack, nm.sigma_zupt**2)
+
+
+    def test_inverse_falls_back_to_linalg_inv(self):
+        """Where numpy has no private numpy.linalg._umath_linalg.inv, zvnav.ins
+        imports with np.linalg.inv in its place: the same S^-1 bit for bit,
+        the same update, and a singular S still a NumericalError. Run in a
+        subprocess that deletes the gufunc before the import."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from numpy.linalg import _umath_linalg
+            gufunc = _umath_linalg.inv
+            del _umath_linalg.inv
+            from zvnav import ins
+            from zvnav.errors import NumericalError
+            _umath_linalg.inv = gufunc  # np.linalg.inv calls it
+            assert ins._inv is np.linalg.inv
+            rng = np.random.default_rng(41)
+            A = rng.standard_normal((3, 4, 9, 9))
+            P = 1e-3 * (A @ A.mT)
+            S = P[..., 3:6, 3:6] + 1e-4 * np.eye(3)
+            assert ins._inv(S).tobytes() == gufunc(S).tobytes()
+            state = (rng.standard_normal((3, 4, 3)), rng.standard_normal((3, 4, 3)),
+                     np.tile([1.0, 0.0, 0.0, 0.0], (3, 4, 1)), P)
+            fallback = ins._zupt(*state, 1e-4)
+            ins._inv = gufunc
+            for a, b in zip(fallback, ins._zupt(*state, 1e-4)):
+                assert a.tobytes() == b.tobytes()
+            ins._inv = np.linalg.inv
+            P = ins.default_initial_covariance()
+            P[3:6, 3:6] = -1e-4 * np.eye(3)
+            try:
+                ins._zupt(np.zeros((1, 1, 3)), np.zeros((1, 1, 3)),
+                          np.array([[[1.0, 0.0, 0.0, 0.0]]]), P[None, None], 1e-4)
+            except NumericalError as exc:
+                print("singular:", exc)
+        """)
+        src = str(Path(zvnav.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("singular: innovation covariance not invertible")
 
 
 class TestCovarianceHealthFuzz:
@@ -594,11 +643,12 @@ class TestLaneKernel:
         assert math.isnan(_xi(Pk[0, 0, 3:6, 3:6].tolist(), v[0, 0].tolist()))
 
 
-def lanes_reference(recs, q0, noise, pn, lanes, first_window, logls):
+def lanes_reference(recs, q0, cov0, noise, pn, lanes, first_window, logls):
     """_filter_lanes sample by sample, with one _step_inputs call per step:
     the no-op steps past a recording's end, xi on the c3 != 0 lanes of
-    recordings still running, the one threshold rule and the gather of the
-    lanes that fire."""
+    recordings still running, the one threshold rule on every lane at every
+    step (log_threshold on the (R, C) stack) and the gather of the lanes
+    that fire."""
     R, C, n = len(recs), len(lanes), max(len(rec.t) for rec in recs)
     increments = [_increments(rec.t, rec.gyro) for rec in recs]
     q_rate = np.array([_process_rate(pn)] * R)[:, None]
@@ -607,7 +657,7 @@ def lanes_reference(recs, q0, noise, pn, lanes, first_window, logls):
                               for name in ("c1", "c2", "c3")})
     p, v = np.zeros((R, C, 3)), np.zeros((R, C, 3))
     q = np.array([[q] * C for q in q0])
-    P = np.tile(default_initial_covariance(), (R, C, 1, 1))
+    P = np.tile(cov0, (R, C, 1, 1))
     xi = np.full((R, C), np.nan)
     t_last = np.array([[rec.t[0]] * C for rec in recs])
     trajectory = np.full((n, R, C, 3), np.nan)
@@ -663,17 +713,33 @@ class TestStepBlocks:
         if paired:  # a second recording of another length
             m = 2 * _BLOCK + 3 if n < 2 * _BLOCK else _BLOCK + 1
             recs.append(Recording("b", fast.t[:m], fast.accel[:m], fast.gyro[:m]))
-        lanes = [CALIBRATED, ThresholdParams(-20.0), ThresholdParams(-79.0, -1000.0, 0.002)]
+        # c3 != 0 (decided in the loop), c2 = c3 = 0 (one comparison before
+        # it) and an adaptive c3 = 0 lane (a scan before it); the last two
+        # start above every statistic here (-27 to -7) and fire once their
+        # ramp has come down to it
+        lanes = [CALIBRATED, ThresholdParams(-20.0), ThresholdParams(-79.0, -1000.0, 0.002),
+                 ThresholdParams(-5.0, -200.0), ThresholdParams(-5.0, -200.0, 0.5)]
         pn = psd_at(noise)
         q0 = [align_from_standstill(rec) for rec in recs]
         logls = [shoe_log_lr_trace(rec.accel, rec.gyro, 5, noise) for rec in recs]
-        out = _filter_lanes([rec.t for rec in recs], [rec.accel for rec in recs],
-                            [rec.gyro for rec in recs], q0, default_initial_covariance(),
-                            noise, [pn] * len(recs), 4, lanes=lanes, logl=logls)
-        expected = lanes_reference(recs, q0, noise, pn, lanes, 4, logls)
-        assert out.decisions.any() and not out.decisions.all()
-        for got, want in zip(out, expected):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the second start's velocity covariance has a condition above
+        # XI_COND_BOUND, so xi falls back (NaN) until a lane's first update
+        ill = default_initial_covariance()
+        ill[3:6, 3:6] = np.diag([1e8, 1e-8, 1e-8])
+        for cov0 in (default_initial_covariance(), ill):
+            out = _filter_lanes([rec.t for rec in recs], [rec.accel for rec in recs],
+                                [rec.gyro for rec in recs], q0, cov0, noise,
+                                [pn] * len(recs), 4, lanes=lanes, logl=logls)
+            expected = lanes_reference(recs, q0, cov0, noise, pn, lanes, 4, logls)
+            assert out.decisions.any() and not out.decisions.all()
+            for got, want in zip(out, expected):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # the last lane's first threshold dropped its c3 term: c1 + c2 * dt
+        k, t = 4, recs[0].t
+        assert out.log_gamma[k, 4] == lanes[4].c1 + lanes[4].c2 * (t[k] - t[0])
+        # after the first window, every lane fires, and the last two also wait
+        decided = out.decisions[k:len(t), :len(lanes)]
+        assert decided.any(axis=0).all() and not decided[:, 3:].all(axis=0).any()
 
 
 def label_pass_reference(rec, noise, pn, zupts, xi_mask):

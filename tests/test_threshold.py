@@ -25,6 +25,7 @@ from zvnav.threshold import (
     hypothesis_prior,
     interp_quantile,
     log_threshold,
+    log_threshold_lane,
     loss_factor,
     params_from_bayes,
     threshold_from_bayes,
@@ -116,6 +117,11 @@ class TestLogThreshold:
             log_threshold(ThresholdParams(1.0, -1.0), math.nan, None)
         with pytest.raises(ValueError):
             log_threshold(ThresholdParams(1.0, -1.0), np.array([[0.5, math.nan]]), None)
+        # the one-lane float form rejects them too, with or without xi
+        for dt in (-1.0, -1e-12, math.nan):
+            for xi in (None, 0.0, math.nan):
+                with pytest.raises(ValueError):
+                    log_threshold_lane(ThresholdParams(1.0, -1.0, 2.0), dt, xi)
 
     def test_elementwise_matches_scalar_calls(self):
         # lane-stacked (R, C) coefficients, dt and xi, as the filter loop
@@ -136,6 +142,12 @@ class TestLogThreshold:
             params = ThresholdParams(stacked.c1[r, c], stacked.c2[r, c], stacked.c3[r, c])
             ev = None if math.isnan(xi[r, c]) else xi[r, c]
             assert got[r, c] == log_threshold(params, dt[r, c], ev)
+            # the one-lane float form, as the filter loop calls it: a float
+            # equal bit for bit, with a NaN xi dropping the term as None does
+            lane = ThresholdParams(*(float(x[r, c]) for x in vars(stacked).values()))
+            one = log_threshold_lane(lane, float(dt[r, c]), float(xi[r, c]))
+            assert type(one) is float and np.float64(one).tobytes() == got[r, c].tobytes()
+            assert log_threshold_lane(lane, float(dt[r, c]), ev) == one
         no_xi = log_threshold(stacked, dt, None)
         assert np.array_equal(log_threshold(stacked, dt, np.full(shape, np.nan)), no_xi)
         assert np.array_equal(got[np.isnan(xi)], no_xi[np.isnan(xi)])
